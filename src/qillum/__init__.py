@@ -8,17 +8,15 @@ hypothesis test with its error-probability exponents.
 
 from .fock import (DensityOperator, DimensionError, TruncatedOperator,
                    TruncationError, annihilation, beamsplitter_unitary,
-                   creation, eig_hermitian, identity, number_operator,
-                   partial_trace, tensor, thermal_state, thermal_weights)
+                   eig_hermitian, thermal_weights)
 from .states import (SchmidtState, cat_idler_eigenvalues, cat_state,
                      cat_state_infinite_d, coherent, max_entangled_fock,
                      schmidt_decompose, state_from_family, tmsv)
 from .qfi import (ConvergenceError, QfiReport, converge_cutoff,
-                  qfi_bounds, qfi_cat_direct, qfi_gaussian_closed,
-                  qfi_numerical, qfi_schmidt)
+                  eta_derivative, qfi_bounds, qfi_cat_direct,
+                  qfi_gaussian_closed, qfi_numerical, qfi_schmidt)
 from .estimator import (MomentBoundReport, ObservableSpectrum,
-                        OutcomeDistribution, eta_derivative,
-                        gaussian_ab_observable, jaynes_cummings_observable,
+                        OutcomeDistribution, gaussian_ab_observable,
                         mgf_empirical, mgf_radius, moment_bound_check,
                         outcome_distribution, quadrature_observable,
                         received_state, sld_from_eigensum, sld_observable,

@@ -26,20 +26,19 @@ from .fock import DimensionError, TruncationError
 from .qfi import ConvergenceError, QfiReport, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions, run_protocol)
-from .states import state_from_family
+from .states import parse_family, state_from_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_UNRESOLVED = 4
 
-KNOWN_FAMILIES = ("tmsv", "coherent", "cat:<d>", "cat:inf", "maxfock:<d>")
 
-
-def _default_cutoff(family: str, n_signal: float) -> int:
-    if family.startswith("maxfock:"):
-        return int(family.split(":", 1)[1])
-    if family == "tmsv":
+def _default_cutoff(name: str, order: int | None, n_signal: float) -> int:
+    """Transmitter cutoff for a family parsed by :func:`parse_family`."""
+    if name == "maxfock":
+        return order
+    if name == "tmsv":
         ratio = n_signal / (1.0 + n_signal) if n_signal > 0 else 0.0
         if ratio == 0.0:
             return 8
@@ -49,7 +48,7 @@ def _default_cutoff(family: str, n_signal: float) -> int:
 
 
 def _parse_grid(spec: str):
-    """Grid spec: a number, a comma list, or lo:hi:count[:log]."""
+    """Grid spec: a number, a comma list, or lo:hi:count[:log], as floats."""
     if "," in spec:
         return [float(tok) for tok in spec.split(",") if tok]
     if ":" in spec:
@@ -59,24 +58,17 @@ def _parse_grid(spec: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid needs at least one point")
-        if len(parts) == 4 and parts[3] == "log":
-            return list(np.geomspace(lo, hi, count))
-        return list(np.linspace(lo, hi, count))
+        if len(parts) == 4 and parts[3] != "log":
+            raise ValueError(f"bad grid spacing {parts[3]!r}; only 'log' is known")
+        spaced = np.geomspace if len(parts) == 4 else np.linspace
+        return [float(x) for x in spaced(lo, hi, count)]
     return [float(spec)]
-
-
-def _validate_family(family: str) -> None:
-    ok = family in ("tmsv", "coherent", "cat:inf") or \
-        (family.startswith("cat:") and family.split(":", 1)[1].isdigit()) or \
-        (family.startswith("maxfock:") and family.split(":", 1)[1].isdigit())
-    if not ok:
-        raise ValueError(f"unknown family {family!r}; expected one of {KNOWN_FAMILIES}")
 
 
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 phase: float, rel_tol: float | None = None) -> QfiReport:
-    _validate_family(family)
-    if rel_tol is not None and not family.startswith("maxfock:"):
+    name, order = parse_family(family)
+    if rel_tol is not None and name != "maxfock":
         # auto-converge policy: grow the transmitter cutoff until the
         # information value stabilizes
         from .qfi import converge_cutoff
@@ -86,7 +78,7 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 state_from_family(family, n_signal, d, phase=phase), n_bath).h,
             rel_tol=rel_tol, max_cutoff=1 << 12, start=16)
     else:
-        d_signal = cutoff if cutoff is not None else _default_cutoff(family, n_signal)
+        d_signal = cutoff if cutoff is not None else _default_cutoff(name, order, n_signal)
     state = state_from_family(family, n_signal, d_signal, phase=phase)
     return qfi_schmidt(state, n_bath)
 
@@ -113,7 +105,7 @@ def cmd_qfi(args) -> int:
 def cmd_curves(args) -> int:
     families = [tok for tok in args.families.split(",") if tok]
     for fam in families:
-        _validate_family(fam)
+        parse_family(fam)
     grid = _parse_grid(args.ns)
     rows = []
     for fam in families:
@@ -146,6 +138,8 @@ def _simulate_points(payload: dict, overrides: dict):
     xis = payload.get("xi", 0.5)
     ms = ms if isinstance(ms, list) else [ms]
     xis = xis if isinstance(xis, list) else [xis]
+    if not ms or not xis:
+        raise ValueError("'m' and 'xi' need at least one value each")
     points = []
     for i, m in enumerate(ms):
         for j, xi in enumerate(xis):

@@ -30,7 +30,8 @@ import numpy as np
 from .fock import (DensityOperator, TruncatedOperator, TruncationError,
                    annihilation, beamsplitter_unitary, eig_hermitian,
                    thermal_weights)
-from .qfi import qfi_schmidt
+# eta_derivative is shared with qfi_numerical and re-exported from here
+from .qfi import eta_derivative, qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
 
@@ -40,7 +41,7 @@ class ObservableSpectrum:
 
     eigenvalues: np.ndarray      # real, descending
     basis: np.ndarray            # orthonormal eigenvector columns
-    source: str                  # sld | gaussian_ab | quadrature | jaynes_cummings
+    source: str                  # sld | gaussian_ab | quadrature
     matrix: np.ndarray           # the observable itself, kept for moment work
 
     @property
@@ -63,10 +64,6 @@ class OutcomeDistribution:
     def variance(self) -> float:
         mu = self.mean()
         return float(np.dot(self.probabilities, (self.values - mu) ** 2))
-
-    def central_moment(self, k: int) -> float:
-        mu = self.mean()
-        return float(np.dot(self.probabilities, (self.values - mu) ** k))
 
     def to_csv(self) -> str:
         lines = ["# schema: qi.dist.v1", "value,probability"]
@@ -111,8 +108,6 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
         raise ValueError("state carries no reflectivity information, no estimator exists")
     p = state.probs
     q = n_bath / (1.0 + n_bath)
-    from .qfi import signal_lowering_matrix
-
     m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
     c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
     b = annihilation(dim_bath).data
@@ -135,14 +130,6 @@ def quadrature_observable(phase: float, dim_bath: int) -> ObservableSpectrum:
     b = annihilation(dim_bath).data
     obs = np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T
     return _spectrum(obs, (dim_bath,), "quadrature")
-
-
-def jaynes_cummings_observable(dim_bath: int) -> ObservableSpectrum:
-    """sigma+ b + sigma- b' on (two-level idler x returned mode)."""
-    b = annihilation(dim_bath).data
-    sp = np.array([[0.0, 0.0], [1.0, 0.0]])  # |1><0|
-    obs = np.kron(sp, b) + np.kron(sp.T, b.conj().T)
-    return _spectrum(obs, (2, dim_bath), "jaynes_cummings")
 
 
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
@@ -176,22 +163,6 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
         raise TruncationError(
             f"received-state deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}")
     return DensityOperator(TruncatedOperator(rho, (r, dim_bath), True), deficit)
-
-
-def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
-    """Analytic reflectivity derivative of the received state at eta = 0,
-    on the same (rank x bath) space as :func:`received_state`."""
-    from .qfi import signal_lowering_matrix
-
-    rho_w = thermal_weights(n_bath, dim_bath)
-    rho_b = np.diag(rho_w)
-    b = annihilation(dim_bath).data
-    comm_b = b @ rho_b - rho_b @ b
-    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
-    m = signal_lowering_matrix(state)
-    sp = np.sqrt(state.probs)
-    outer = sp[:, None] * sp[None, :]
-    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
 
 
 def sld_from_eigensum(rho0: DensityOperator, drho: np.ndarray,

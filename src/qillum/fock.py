@@ -64,9 +64,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.data.conj().T, self.cutoffs, self.hermitian_hint)
-
 
 @dataclass
 class DensityOperator:
@@ -94,10 +91,6 @@ class DensityOperator:
     def data(self) -> np.ndarray:
         return self.op.data
 
-    @property
-    def cutoffs(self) -> tuple:
-        return self.op.cutoffs
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.op.data)))
 
@@ -118,43 +111,10 @@ def annihilation(dim: int) -> TruncatedOperator:
     return TruncatedOperator(np.diag(np.sqrt(np.arange(1, dim)), 1), (dim,))
 
 
-def creation(dim: int) -> TruncatedOperator:
-    return annihilation(dim).dagger()
-
-
-def number_operator(dim: int) -> TruncatedOperator:
-    return TruncatedOperator(np.diag(np.arange(dim, dtype=float)), (dim,), True)
-
-
-def identity(cutoffs) -> TruncatedOperator:
-    cutoffs = tuple(int(c) for c in cutoffs)
-    return TruncatedOperator(np.eye(int(np.prod(cutoffs))), cutoffs, True)
-
-
 def thermal_weights(n_bath: float, dim: int) -> np.ndarray:
     """Bose-Einstein weights n_bath^n / (1+n_bath)^(n+1), untruncated values."""
     ratio = n_bath / (1.0 + n_bath)
     return ratio ** np.arange(dim) / (1.0 + n_bath)
-
-
-def thermal_state(n_bath: float, dim: int, deficit_tol: float | None = None) -> DensityOperator:
-    """Thermal state with mean photon number ``n_bath`` on ``dim`` levels.
-
-    Keeps the exact untruncated weights; the geometric tail
-    (n_bath/(1+n_bath))^dim is reported as ``trace_deficit``.  Pass
-    ``deficit_tol`` to opt into a hard truncation check.
-    """
-    if n_bath < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n_bath}")
-    if dim < 1:
-        raise DimensionError(f"thermal state needs dim >= 1, got {dim}")
-    deficit = (n_bath / (1.0 + n_bath)) ** dim
-    if deficit_tol is not None and deficit > deficit_tol:
-        raise TruncationError(
-            f"thermal deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}"
-        )
-    op = TruncatedOperator(np.diag(thermal_weights(n_bath, dim)), (dim,), True)
-    return DensityOperator(op, deficit)
 
 
 _BS_SPECTRA: dict = {}
@@ -188,48 +148,6 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> Truncate
     lam, vec = _beamsplitter_spectrum(dim_signal, dim_bath)
     u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
     return TruncatedOperator(u, (dim_signal, dim_bath))
-
-
-def tensor(a: TruncatedOperator, b: TruncatedOperator,
-           max_dim: int = MAX_TENSOR_DIM) -> TruncatedOperator:
-    """Kronecker product; cutoff lists concatenate."""
-    dim = a.dim * b.dim
-    if dim > max_dim:
-        raise DimensionError(f"tensor dimension {dim} exceeds maximum {max_dim}")
-    return TruncatedOperator(
-        np.kron(a.data, b.data),
-        a.cutoffs + b.cutoffs,
-        a.hermitian_hint and b.hermitian_hint,
-    )
-
-
-def _partial_trace_matrix(data: np.ndarray, cutoffs, keep) -> np.ndarray:
-    k = len(cutoffs)
-    keep = sorted(keep)
-    if not keep or any(i < 0 or i >= k for i in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"invalid factor indices {keep} for {k} factors")
-    tens = data.reshape(tuple(cutoffs) + tuple(cutoffs))
-    letters = "abcdefghijklm"
-    if k > len(letters):
-        raise DimensionError("too many tensor factors")
-    rows = []
-    cols = []
-    for i in range(k):
-        rows.append(letters[i])
-        cols.append(letters[i].upper() if i in keep else letters[i])
-    out = "".join(letters[i] for i in keep) + "".join(letters[i].upper() for i in keep)
-    sub = "".join(rows) + "".join(cols) + "->" + out
-    kept = int(np.prod([cutoffs[i] for i in keep]))
-    return np.einsum(sub, tens).reshape(kept, kept)
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out every factor not listed in ``keep`` (kept in index order)."""
-    reduced = _partial_trace_matrix(rho.data, rho.cutoffs, keep)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    kept_cutoffs = tuple(rho.cutoffs[i] for i in sorted(keep))
-    op = TruncatedOperator(reduced, kept_cutoffs, True)
-    return DensityOperator(op, rho.trace_deficit)
 
 
 def eig_hermitian(a: TruncatedOperator):

@@ -193,6 +193,20 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
     return 2.0 * n_signal / d ** 4 * total
 
 
+def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
+    """Analytic reflectivity derivative of the received state at eta = 0,
+    on the (rank x bath) space of :func:`qillum.estimator.received_state`."""
+    rho_w = thermal_weights(n_bath, dim_bath)
+    rho_b = np.diag(rho_w)
+    b = annihilation(dim_bath).data
+    comm_b = b @ rho_b - rho_b @ b
+    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
+    m = signal_lowering_matrix(state)
+    sp = np.sqrt(state.probs)
+    outer = sp[:, None] * sp[None, :]
+    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
+
+
 def qfi_numerical(state: SchmidtState, n_bath: float, dim_bath: int,
                   max_dim: int = MAX_TENSOR_DIM, pair_floor: float = PAIR_FLOOR) -> float:
     """Fisher information through the eigendecomposition definition.
@@ -200,45 +214,22 @@ def qfi_numerical(state: SchmidtState, n_bath: float, dim_bath: int,
     Builds the zero-reflectivity received state on a concrete
     (idler-rank x bath) space together with the reflectivity derivative,
     then evaluates 2 sum |<m|drho|n>|^2 / (lam_m + lam_n), skipping pairs
-    whose eigenvalue sum is below ``pair_floor``.  Exists as an
-    independent cross-check of :func:`qfi_schmidt`.
+    whose eigenvalue sum is below ``pair_floor``.  Exists as a
+    cross-check of the pair sum in :func:`qfi_schmidt` through the
+    spectral definition.
     """
     r = state.rank
     dim = r * dim_bath
     if dim > max_dim:
         raise DimensionError(f"joint dimension {dim} exceeds maximum {max_dim}")
-    rho_w = thermal_weights(n_bath, dim_bath)
-    drho = _eta_derivative_tensor(state, rho_w, dim_bath)
-    rho0 = np.kron(np.diag(state.probs), np.diag(rho_w))
+    drho = eta_derivative(state, n_bath, dim_bath)
+    rho0 = np.kron(np.diag(state.probs), np.diag(thermal_weights(n_bath, dim_bath)))
     lam, vec = eig_hermitian(
         TruncatedOperator(rho0, (r, dim_bath), True))
     m = vec.conj().T @ drho @ vec
     pair = lam[:, None] + lam[None, :]
     mask = pair > pair_floor
     return 2.0 * float(np.sum(np.abs(m[mask]) ** 2 / pair[mask]))
-
-
-def _eta_derivative_tensor(state: SchmidtState, rho_w: np.ndarray, dim_bath: int) -> np.ndarray:
-    """Reflectivity derivative of the received state at zero reflectivity,
-    assembled from per-bath-level vector pushes of the generator (no
-    tripartite matrix is materialized)."""
-    r = state.rank
-    d_push = state.d_signal + 1  # headroom so s' acts exactly on stored vectors
-    w = np.zeros((d_push, r), dtype=np.complex128)
-    w[: state.d_signal] = state.vectors
-    a = annihilation(d_push).data
-    up = w.conj().T @ (a.conj().T @ w)   # up[a', a] = <w_a'| s' |w_a>
-    dn = w.conj().T @ (a @ w)            # dn[a', a] = <w_a'| s  |w_a>
-    sp = np.sqrt(state.probs)
-    coeff_up = sp[:, None] * sp[None, :] * up.T  # [a, a'] entries
-    coeff_dn = sp[:, None] * sp[None, :] * dn.T
-    t = np.zeros((r, dim_bath, r, dim_bath), dtype=np.complex128)
-    for n in range(1, dim_bath):
-        t[:, n - 1, :, n] += rho_w[n] * np.sqrt(n) * coeff_up
-    for n in range(0, dim_bath - 1):
-        t[:, n + 1, :, n] -= rho_w[n] * np.sqrt(n + 1) * coeff_dn
-    mat = t.reshape(r * dim_bath, r * dim_bath)
-    return mat + mat.conj().T
 
 
 def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = 1 << 15,

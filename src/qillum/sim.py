@@ -23,7 +23,6 @@ so results are bit-identical across runs and thread counts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -33,7 +32,7 @@ from scipy.special import erfc, erfcinv
 
 from .estimator import outcome_distribution, received_state, sld_observable
 from .qfi import qfi_bounds, qfi_schmidt
-from .states import SchmidtState, state_from_family
+from .states import SchmidtState, parse_family, state_from_family
 
 SAMPLE_CHUNK = 4096
 MIN_ERROR_EVENTS = 50
@@ -63,10 +62,13 @@ class ProtocolConfig:
     trials_cap_factor: int = 8        # adaptive doubling cap, multiple of trials
 
     def __post_init__(self):
+        parse_family(self.family)
+        if self.n_signal < 0 or self.n_bath < 0:
+            raise ValueError("mean photon numbers must be >= 0")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("threshold fraction must lie strictly between 0 and 1")
-        if self.eta < 0:
-            raise ValueError("reflectivity must be >= 0")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError("reflectivity must lie in [0, 1]")
         if self.m_copies < 1:
             raise ValueError("need at least one copy per trial")
         if self.trials < 1:
@@ -382,7 +384,3 @@ def gain_summary(rate_quantum: float, err_quantum: float,
                     + (err_classical / rate_classical) ** 2)
     return db, 10.0 * rel / math.log(10.0)
 
-
-def load_config(path: str) -> ProtocolConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProtocolConfig.from_json_dict(json.load(fh))

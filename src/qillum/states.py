@@ -23,6 +23,7 @@ import numpy as np
 from .fock import annihilation
 
 PRUNE_EPS = 1e-14
+FAMILY_LABELS = ("tmsv", "coherent", "cat:<d>", "cat:inf", "maxfock:<d>")
 
 
 @dataclass
@@ -44,11 +45,6 @@ class SchmidtState:
     @property
     def rank(self) -> int:
         return len(self.probs)
-
-    @property
-    def terms(self):
-        """List of (p, w) pairs."""
-        return [(float(self.probs[i]), self.vectors[:, i]) for i in range(self.rank)]
 
     def mean_photons(self) -> float:
         if self.d_signal < 2:
@@ -250,22 +246,36 @@ def schmidt_decompose(amplitudes: np.ndarray, meta: dict | None = None) -> Schmi
     return _finalize(probs, u, amplitudes.shape[0], meta or {"family": "custom"})
 
 
+def parse_family(family: str):
+    """Split a transmitter label into (name, order).
+
+    Labels: ``tmsv``, ``coherent``, ``cat:<d>``, ``cat:inf``,
+    ``maxfock:<d>``.  The order is the integer ``d`` of ``cat:<d>`` and
+    ``maxfock:<d>`` and None otherwise; ``cat:inf`` keeps its full label
+    as its name.
+    """
+    if family in ("tmsv", "coherent", "cat:inf"):
+        return family, None
+    name, _, order = str(family).partition(":")
+    if name in ("cat", "maxfock") and order.isdigit():
+        return name, int(order)
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_LABELS}")
+
+
 def state_from_family(family: str, n_signal: float, d_signal: int,
                       phase: float = 0.0) -> SchmidtState:
-    """Build a transmitter from its CLI/config label.
+    """Build a transmitter from its CLI/config label (see :func:`parse_family`).
 
-    Labels: ``tmsv``, ``coherent``, ``cat:<d>``, ``cat:inf``, ``maxfock:<d>``.
     For ``maxfock`` the photon number is fixed by the rank and ``n_signal``
     is ignored.
     """
-    if family == "tmsv":
+    name, order = parse_family(family)
+    if name == "tmsv":
         return tmsv(n_signal, d_signal)
-    if family == "coherent":
+    if name == "coherent":
         return coherent(n_signal, phase, d_signal)
-    if family == "cat:inf":
+    if name == "cat:inf":
         return cat_state_infinite_d(n_signal, d_signal)
-    if family.startswith("cat:"):
-        return cat_state(n_signal, int(family.split(":", 1)[1]), d_signal)
-    if family.startswith("maxfock:"):
-        return max_entangled_fock(int(family.split(":", 1)[1]))
-    raise ValueError(f"unknown state family {family!r}")
+    if name == "cat":
+        return cat_state(n_signal, order, d_signal)
+    return max_entangled_fock(order)

@@ -78,9 +78,15 @@ def test_curves_output(tmp_path):
 
 
 def test_curves_grid_spec():
-    out = run_cli("curves", "--nb", "2", "--ns", "0.1:1:3", "--families", "tmsv")
-    lines = out.stdout.strip().split("\n")
-    assert len(lines) == 2 + 3
+    for spec in ("0.1:1:3", "0.1:1:3:log"):
+        out = run_cli("curves", "--nb", "2", "--ns", spec, "--families", "tmsv")
+        lines = out.stdout.strip().split("\n")
+        assert len(lines) == 2 + 3
+        ns = [float(ln.split(",")[1]) for ln in lines[2:]]
+        assert ns[0] == pytest.approx(0.1) and ns[-1] == pytest.approx(1.0)
+    bad = run_cli("curves", "--nb", "2", "--ns", "0.1:1:3:lg", "--families", "tmsv")
+    assert bad.returncode == 2
+    assert "'lg'" in bad.stderr
 
 
 @pytest.fixture()
@@ -147,9 +153,24 @@ def test_simulate_unresolved_exits_4(tmp_path):
     assert res.returncode == 4
 
 
-def test_simulate_missing_config_exits_2(tmp_path):
+def test_simulate_missing_config_exits_2(tmp_path, capsys):
+    import qillum.cli as cli
+
     res = run_cli("simulate", "--config", str(tmp_path / "nope.json"))
     assert res.returncode == 2
+    # bad values in an existing config are rejected before any spectral work
+    good = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.1,
+            "m": 50, "xi": 0.5, "trials": 100}
+    for key, value, message in (("m", [], "at least one value"),
+                                ("xi", [], "at least one value"),
+                                ("eta", 1.5, "reflectivity"),
+                                ("n_signal", -0.5, "photon numbers"),
+                                ("n_bath", -1.0, "photon numbers"),
+                                ("family", "cat:x", "unknown family")):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(dict(good, **{key: value})))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_cli_overrides(tmp_path, sim_config):

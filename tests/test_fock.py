@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 
 from qillum.fock import (DensityOperator, DimensionError, TruncatedOperator,
-                         TruncationError, annihilation, beamsplitter_unitary,
-                         creation, eig_hermitian, identity, number_operator,
-                         partial_trace, tensor, thermal_state, thermal_weights,
-                         _partial_trace_matrix)
-
-
-def random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho).real
-    return rho
+                         annihilation, beamsplitter_unitary, eig_hermitian,
+                         thermal_weights)
 
 
 def test_annihilation_d2():
@@ -33,7 +24,7 @@ def test_number_operator_diagonal():
     a = annihilation(4).data
     n = a.conj().T @ a
     assert np.allclose(np.diag(n).real, [0, 1, 2, 3])
-    assert np.allclose(n, number_operator(4).data)
+    assert np.allclose(n, np.diag(np.arange(4)))
 
 
 def test_annihilation_rejects_small_dim():
@@ -49,38 +40,34 @@ def test_commutator_is_one_below_cutoff():
 
 
 def test_thermal_vacuum():
-    rho = thermal_state(0.0, 5)
-    assert rho.trace_deficit == 0.0
-    assert np.allclose(rho.data, np.diag([1, 0, 0, 0, 0]))
+    w = thermal_weights(0.0, 5)
+    assert 1.0 - w.sum() == 0.0
+    assert np.array_equal(w, [1, 0, 0, 0, 0])
 
 
 def test_thermal_hand_values():
     # n_bath = 1, dim 2: weights 1/2, 1/4, deficit 1/4
-    rho = thermal_state(1.0, 2)
-    assert np.allclose(np.diag(rho.data).real, [0.5, 0.25])
-    assert rho.trace_deficit == pytest.approx(0.25)
+    w = thermal_weights(1.0, 2)
+    assert np.allclose(w, [0.5, 0.25])
+    assert 1.0 - w.sum() == pytest.approx(0.25)
 
 
 def test_thermal_mean_photons_direct_sum():
     n_bath, dim = 1.7, 40
-    rho = thermal_state(n_bath, dim)
-    n_op = number_operator(dim).data
-    mean = np.trace(rho.data @ n_op).real
-    direct = sum(n * w for n, w in enumerate(thermal_weights(n_bath, dim)))
+    w = thermal_weights(n_bath, dim)
+    mean = np.arange(dim) @ w
+    direct = sum(n * p for n, p in enumerate(w))
+    deficit = (n_bath / (1.0 + n_bath)) ** dim
+    assert 1.0 - w.sum() == pytest.approx(deficit, rel=1e-9)
     assert mean == pytest.approx(direct, rel=1e-14)
     assert mean <= n_bath
-    assert mean >= n_bath * (1 - rho.trace_deficit * dim)
+    assert mean >= n_bath * (1 - deficit * dim)
 
 
 def test_thermal_ratio_exact():
     w = thermal_weights(2.3, 30)
     ratios = w[1:] / w[:-1]
     assert np.allclose(ratios, 2.3 / 3.3, rtol=1e-14)
-
-
-def test_thermal_deficit_opt_in():
-    with pytest.raises(TruncationError):
-        thermal_state(5.0, 4, deficit_tol=1e-6)
 
 
 def test_beamsplitter_zero_is_identity():
@@ -118,85 +105,6 @@ def test_beamsplitter_inverse_pair():
 def test_beamsplitter_rejects_bad_reflectivity():
     with pytest.raises(ValueError):
         beamsplitter_unitary(1.5, 4, 4)
-
-
-def test_tensor_identity():
-    out = tensor(identity((2,)), identity((3,)))
-    assert out.cutoffs == (2, 3)
-    assert np.array_equal(out.data, np.eye(6))
-
-
-def test_tensor_acts_on_first_factor():
-    out = tensor(annihilation(2), identity((2,))).data
-    # <0,k| A |1,k> = 1
-    for k in range(2):
-        assert out[0 * 2 + k, 1 * 2 + k] == 1.0
-    assert np.count_nonzero(out) == 2
-
-
-def test_tensor_trace_product():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        out = tensor(TruncatedOperator(a, (3,)), TruncatedOperator(b, (3,)))
-        assert np.trace(out.data) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-def test_tensor_overflow():
-    with pytest.raises(DimensionError):
-        tensor(identity((200,)), identity((200,)), max_dim=1000)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(21)
-    rho_a = random_density(rng, 2)
-    rho_b = random_density(rng, 2)
-    joint = DensityOperator(
-        TruncatedOperator(np.kron(rho_a, rho_b), (2, 2), True))
-    out = partial_trace(joint, [0])
-    assert np.abs(out.data - rho_a).max() < 1e-12
-
-
-def test_partial_trace_bell_pair():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    rho = DensityOperator(TruncatedOperator(np.outer(bell, bell.conj()), (2, 2), True))
-    out = partial_trace(rho, [1])
-    assert np.abs(out.data - np.eye(2) / 2).max() < 1e-12
-
-
-def test_partial_trace_three_factors_vs_bruteforce():
-    rng = np.random.default_rng(5)
-    dims = (2, 3, 2)
-    rho = random_density(rng, 12)
-    red = _partial_trace_matrix(rho, dims, [1])
-    tens = rho.reshape(2, 3, 2, 2, 3, 2)
-    brute = np.zeros((3, 3), complex)
-    for i in range(2):
-        for k in range(2):
-            brute += tens[i, :, k, i, :, k]
-    assert np.abs(red - brute).max() < 1e-13
-    assert np.trace(red) == pytest.approx(np.trace(rho), abs=1e-12)
-
-
-def test_partial_trace_is_linear():
-    rng = np.random.default_rng(9)
-    dims = (2, 2, 3)
-    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    y = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    lhs = _partial_trace_matrix(2.0 * x + 3.0 * y, dims, [0, 2])
-    rhs = 2.0 * _partial_trace_matrix(x, dims, [0, 2]) \
-        + 3.0 * _partial_trace_matrix(y, dims, [0, 2])
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_partial_trace_invalid_keep():
-    rho = thermal_state(1.0, 4)
-    with pytest.raises(ValueError):
-        partial_trace(rho, [])
-    with pytest.raises(ValueError):
-        partial_trace(rho, [3])
 
 
 def test_eig_descending_diag():
@@ -240,10 +148,8 @@ def test_hermitian_hint_enforced():
 
 
 def test_density_operator_invariants():
-    rho = thermal_state(0.8, 30)
+    w = thermal_weights(0.8, 30)
+    rho = DensityOperator(TruncatedOperator(np.diag(w), (30,), True),
+                          (0.8 / 1.8) ** 30)
     rho.validate()
     assert rho.trace() + rho.trace_deficit == pytest.approx(1.0, abs=1e-12)
-
-
-def test_creation_is_adjoint():
-    assert np.array_equal(creation(5).data, annihilation(5).data.conj().T)

@@ -28,6 +28,15 @@ def test_config_validation():
         ProtocolConfig(prior_absent=0.7, prior_present=0.7)
     with pytest.raises(ValueError):
         ProtocolConfig(eta=-0.1)
+    with pytest.raises(ValueError):
+        ProtocolConfig(eta=1.5)
+    with pytest.raises(ValueError):
+        ProtocolConfig(n_signal=-0.5)
+    with pytest.raises(ValueError):
+        ProtocolConfig(n_bath=-1.0)
+    with pytest.raises(ValueError):
+        ProtocolConfig(family="cat:x")
+    assert ProtocolConfig(eta=1.0).eta == 1.0
 
 
 def test_config_json_roundtrip():

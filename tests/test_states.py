@@ -188,8 +188,9 @@ def test_state_from_family_labels():
     assert state_from_family("cat:3", 0.5, 20).meta["d"] == 3
     assert state_from_family("cat:inf", 0.5, 20).meta["family"] == "cat_inf"
     assert state_from_family("maxfock:4", 0.0, 20).rank == 4
-    with pytest.raises(ValueError):
-        state_from_family("squeezed", 0.5, 20)
+    for bad in ("squeezed", "cat:x", "cat:", "maxfock:inf", "tmsv:2", 2):
+        with pytest.raises(ValueError, match="unknown family"):
+            state_from_family(bad, 0.5, 20)
 
 
 def test_constructor_rejects_negative_photons():
