@@ -50,7 +50,10 @@ def _default_cutoff(name: str, order: int | None, n_signal: float) -> int:
 def _parse_grid(spec: str):
     """Grid spec: a number, a comma list, or lo:hi:count[:log], as floats."""
     if "," in spec:
-        return [float(tok) for tok in spec.split(",") if tok]
+        grid = [float(tok) for tok in spec.split(",") if tok]
+        if not grid:
+            raise ValueError(f"grid spec {spec!r} has no values")
+        return grid
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (3, 4):
@@ -104,6 +107,8 @@ def cmd_qfi(args) -> int:
 
 def cmd_curves(args) -> int:
     families = [tok for tok in args.families.split(",") if tok]
+    if not families:
+        raise ValueError(f"family list {args.families!r} has no families")
     for fam in families:
         parse_family(fam)
     grid = _parse_grid(args.ns)
@@ -229,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_qfi.add_argument("--ns", type=float, default=0.0, help="mean signal photons")
     p_qfi.add_argument("--nb", type=float, required=True, help="mean bath photons")
     p_qfi.add_argument("--phase", type=float, default=0.0)
-    p_qfi.add_argument("--cutoff", type=int, default=None)
-    p_qfi.add_argument("--rel-tol", type=float, default=None,
-                       help="auto-converge the cutoff to this relative tolerance")
+    p_qfi_cut = p_qfi.add_mutually_exclusive_group()
+    p_qfi_cut.add_argument("--cutoff", type=int, default=None)
+    p_qfi_cut.add_argument("--rel-tol", type=float, default=None,
+                           help="auto-converge the cutoff to this relative tolerance")
     p_qfi.add_argument("--format", choices=("json", "csv"), default="json")
     p_qfi.add_argument("--out", default=None)
 
@@ -240,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--ns", required=True,
                        help="grid: number, comma list, or lo:hi:count[:log]")
     p_cur.add_argument("--families", default="tmsv,coherent,cat:2,cat:inf")
-    p_cur.add_argument("--cutoff", type=int, default=None)
-    p_cur.add_argument("--rel-tol", type=float, default=None)
+    p_cur_cut = p_cur.add_mutually_exclusive_group()
+    p_cur_cut.add_argument("--cutoff", type=int, default=None)
+    p_cur_cut.add_argument("--rel-tol", type=float, default=None)
     p_cur.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo detection protocol")

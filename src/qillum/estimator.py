@@ -12,11 +12,21 @@ Received states are computed without materializing the tripartite
 levels and each pure component is pushed through the beamsplitter, which
 keeps memory at O((rank * bath_dim)^2).
 
-Desk-scale note: full received-state construction is intended for modest
-bath occupation (a few photons), with the bath cutoff chosen so the
-thermal tail is negligible.  Bright-bath statements are validated through
-the closed-form information quantities instead; a bright thermal tail
-makes explicit density matrices infeasible at desk scale.
+The spectral work runs on sectors of exact zeros (see :mod:`qillum.fock`):
+the beamsplitter acts per excitation sector, the received state is formed
+one block of rows sharing nonzero columns at a time, and each outcome
+probability is evaluated on its eigenvector's block only.  Fock-diagonal
+transmitters (tmsv, cat:inf, maxfock) split into the sectors
+q = a - n_b of Schmidt index a and returned-mode level n_b; a state
+whose matrices have no exact zeros is one sector.
+
+Desk-scale note: received states and observables are still returned as
+dense matrices of side rank * bath_dim, so full received-state
+construction is intended for modest bath occupation (a few photons), with
+the bath cutoff chosen so the thermal tail is negligible.  Bright-bath
+statements are validated through the closed-form information quantities
+instead; a bright thermal tail makes explicit density matrices infeasible
+at desk scale.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (DensityOperator, TruncatedOperator, TruncationError,
-                   annihilation, beamsplitter_unitary, eig_hermitian,
+                   annihilation, beamsplitter_unitary, eig_hermitian, sectors,
                    thermal_weights)
 # eta_derivative is shared with qfi_numerical and re-exported from here
 from .qfi import eta_derivative, qfi_schmidt, signal_lowering_matrix
@@ -132,6 +142,16 @@ def quadrature_observable(phase: float, dim_bath: int) -> ObservableSpectrum:
     return _spectrum(obs, (dim_bath,), "quadrature")
 
 
+def _blocks(m: np.ndarray) -> list:
+    """(rows, cols) pairs whose blocks hold every nonzero entry of ``m``:
+    the sectors of its row-column incidence pattern.  Rows in different
+    blocks share no nonzero column."""
+    r = m.shape[0]
+    link = np.zeros((r + m.shape[1],) * 2, dtype=bool)
+    link[:r, r:] = m != 0
+    return [(s[s < r], s[s >= r] - r) for s in sectors(link)]
+
+
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
                    dim_signal: int | None = None,
                    deficit_tol: float | None = None) -> DensityOperator:
@@ -139,8 +159,10 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
 
     For each bath Fock level the pure component is propagated through the
     beamsplitter on the (signal, bath) factors and the signal is traced
-    out on the fly.  The total trace deficit combines the transmitter's
-    truncation with the thermal tail.
+    out on the fly.  U acts per sector of its nonzero pattern, and the
+    state is formed one block of rows sharing nonzero columns at a time,
+    so entries between blocks are exact zeros.  The total trace deficit
+    combines the transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal if dim_signal is None else int(dim_signal)
     if d_s < state.d_signal:
@@ -154,10 +176,16 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     x = np.zeros((d_s * dim_bath, r * dim_bath), dtype=np.complex128)
     for n in range(dim_bath):
         x[n::dim_bath, n::dim_bath] = w * np.sqrt(rho_w[n])
-    y = (u @ x).reshape(d_s, dim_bath, r, dim_bath)
+    y = np.zeros_like(x)
+    for idx in sectors(u):
+        y[idx] = u[np.ix_(idx, idx)] @ x[idx]
+    y = y.reshape(d_s, dim_bath, r, dim_bath)
     z = y.transpose(2, 1, 0, 3).reshape(r * dim_bath, d_s * dim_bath)
-    rho = z @ z.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = np.zeros((r * dim_bath, r * dim_bath), dtype=np.complex128)
+    for rows, cols in _blocks(z):
+        zb = z[np.ix_(rows, cols)]
+        block = zb @ zb.conj().T
+        rho[np.ix_(rows, rows)] = 0.5 * (block + block.conj().T)
     deficit = max(0.0, 1.0 - float(np.real(np.trace(rho))))
     if deficit_tol is not None and deficit > deficit_tol:
         raise TruncationError(
@@ -209,8 +237,11 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
     """
     if rho.data.shape[0] != obs.dim:
         raise ValueError("state and observable dimensions differ")
-    tmp = rho.data @ obs.basis
-    probs = np.real(np.einsum("ij,ij->j", obs.basis.conj(), tmp))
+    probs = np.empty(obs.dim)
+    for rows, cols in _blocks(obs.basis):
+        basis = obs.basis[np.ix_(rows, cols)]
+        tmp = rho.data[np.ix_(rows, rows)] @ basis
+        probs[cols] = np.real(np.einsum("ij,ij->j", basis.conj(), tmp))
     if probs.min() < -1e-10:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
     return OutcomeDistribution(obs.eigenvalues.copy(), probs, eta, rho.trace_deficit)

@@ -1,4 +1,12 @@
-"""Dense operator algebra on truncated bosonic Fock spaces.
+"""Operator algebra on truncated bosonic Fock spaces, dense matrices
+diagonalized sector by sector.
+
+Operators are stored as dense matrices, but their spectral work runs on
+sectors: the connected components of a matrix's exact nonzero pattern
+(:func:`sectors`).  Entries between two sectors are exactly zero, so each
+sector is diagonalized or exponentiated on its own.  The beamsplitter
+generator splits by the excitation number n_s + n_b; a matrix without
+exact zeros is a single sector and is handled as one dense block.
 
 Multimode objects follow one global factor-ordering convention: whenever
 idler, signal, and bath modes appear together the factors are ordered
@@ -117,42 +125,76 @@ def thermal_weights(n_bath: float, dim: int) -> np.ndarray:
     return ratio ** np.arange(dim) / (1.0 + n_bath)
 
 
-_BS_SPECTRA: dict = {}
+def sectors(matrix: np.ndarray) -> list:
+    """Connected components of the exact nonzero pattern of a square matrix.
+
+    Indices i and j share a sector when a chain of nonzero entries, in
+    either triangle, links them, so every entry between two sectors is
+    exactly zero.  Each sector is an ascending index array; sectors are
+    ordered by their smallest index.  A matrix without exact zeros is one
+    sector.
+    """
+    link = np.asarray(matrix) != 0
+    link |= link.T
+    unseen = np.ones(link.shape[0], dtype=bool)
+    out = []
+    while unseen.any():
+        frontier = np.array([np.argmax(unseen)])
+        members = []
+        while frontier.size:
+            unseen[frontier] = False
+            members.append(frontier)
+            frontier = np.flatnonzero(link[frontier].any(axis=0) & unseen)
+        out.append(np.sort(np.concatenate(members)))
+    return out
 
 
-def _beamsplitter_spectrum(dim_signal: int, dim_bath: int):
-    """Eigendecomposition of i(s'b - sb') on the (signal, bath) space, cached."""
-    key = (dim_signal, dim_bath)
-    if key not in _BS_SPECTRA:
-        s = annihilation(dim_signal).data
-        b = annihilation(dim_bath).data
-        gen = np.kron(s.conj().T, b) - np.kron(s, b.conj().T)
-        lam, vec = np.linalg.eigh(1j * gen)
-        _BS_SPECTRA[key] = (lam, vec)
-    return _BS_SPECTRA[key]
+def _sector_eigh(matrix: np.ndarray):
+    """(indices, ascending eigenvalues, eigenvector columns) of each sector
+    of a Hermitian matrix, diagonalized on its own."""
+    for idx in sectors(matrix):
+        lam, vec = np.linalg.eigh(matrix[np.ix_(idx, idx)])
+        yield idx, lam, vec
 
 
 def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> TruncatedOperator:
     """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath mode.
 
-    Exact matrix exponential through the eigendecomposition of the
-    Hermitian generator, so the result is unitary on the truncated joint
-    space up to eigensolver accuracy.  Rows in incomplete total-excitation
-    sectors (n_s + n_b >= min(dim_signal, dim_bath)) remain unitary but no
-    longer represent the physical beamsplitter; keep those amplitudes
-    negligible by choosing cutoffs with headroom.
+    The generator conserves the excitation number n_s + n_b, so it is
+    exactly block-diagonal in it.  Each excitation sector is exponentiated
+    on its own through the eigendecomposition of its Hermitian block,
+    which makes the result unitary on the truncated joint space up to
+    eigensolver accuracy and exactly zero between sectors.  Rows in
+    incomplete sectors (n_s + n_b >= min(dim_signal, dim_bath)) remain
+    unitary but no longer represent the physical beamsplitter; keep those
+    amplitudes negligible by choosing cutoffs with headroom.
     """
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
-    lam, vec = _beamsplitter_spectrum(dim_signal, dim_bath)
-    u = (vec * np.exp(-1j * theta * lam)) @ vec.conj().T
+    # s'b - sb' is real and antisymmetric: K - K^T with K = s^T (x) b
+    k = np.kron(annihilation(dim_signal).data.real.T, annihilation(dim_bath).data.real)
+    gen = 1j * (k - k.T)
+    u = np.zeros_like(gen)
+    for idx, lam, vec in _sector_eigh(gen):
+        # 1 + V (e^{-i theta lam} - 1) V': the identity stays exact at eta = 0
+        u[np.ix_(idx, idx)] = (np.eye(len(idx))
+                               + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T)
     return TruncatedOperator(u, (dim_signal, dim_bath))
 
 
 def eig_hermitian(a: TruncatedOperator):
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and orthonormal eigenvector columns.
+
+    Each sector of the matrix's exact nonzero pattern is diagonalized on
+    its own, so every eigenvector is supported on one sector.
+    """
     if not a.hermitian_hint:
         raise ValueError("eig_hermitian requires hermitian_hint")
-    lam, vec = np.linalg.eigh(a.data)
-    return lam[::-1].copy(), vec[:, ::-1].copy()
+    lam = np.empty(a.dim)
+    vec = np.zeros((a.dim, a.dim), dtype=np.complex128)
+    for idx, lam_s, vec_s in _sector_eigh(a.data):
+        lam[idx] = lam_s
+        vec[np.ix_(idx, idx)] = vec_s
+    order = np.argsort(lam, kind="stable")[::-1]
+    return lam[order], vec[:, order]

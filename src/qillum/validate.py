@@ -168,9 +168,11 @@ def check_sld_identities(dim_bath: int = 40, families: str = "full") -> CheckRes
                   abs(fit["slope"] - 1.0) < 1e-3, abs(fit["intercept"]) < 1e-9)
         ok &= all(checks)
         notes.append(f"{fam}: Tr(rL)={t0:.1e}, Tr(Ld)={t1:.1e}, "
-                     f"var-1/H={abs(var - 1.0 / rep.h):.1e}, slope={fit['slope']:.5f}")
+                     f"var-1/H={abs(var - 1.0 / rep.h):.1e}, slope={fit['slope']:.5f}, "
+                     f"intercept={fit['intercept']:.1e}")
     return CheckResult(f"sld_identities_{families}", bool(ok), "; ".join(notes),
-                       "Tr(r0 L)=0@1e-9, Tr(L dr)=H@1e-8, var=1/H@1e-6, slope=1@1e-3")
+                       "Tr(r0 L)=0@1e-9, Tr(L dr)=H@1e-8, var=1/H@1e-6, slope=1@1e-3, "
+                       "intercept=0@1e-9")
 
 
 def check_moment_machinery(dim_bath: int = 40) -> CheckResult:

@@ -89,6 +89,26 @@ def test_curves_grid_spec():
     assert "'lg'" in bad.stderr
 
 
+def test_curves_rejects_empty_grid_and_families(capsys):
+    import qillum.cli as cli
+
+    assert cli.main(["curves", "--nb", "2", "--ns", ","]) == 2
+    assert "no values" in capsys.readouterr().err
+    assert cli.main(["curves", "--nb", "2", "--ns", "0.1", "--families", ","]) == 2
+    assert "no families" in capsys.readouterr().err
+
+
+def test_cutoff_and_rel_tol_are_exclusive(capsys):
+    import qillum.cli as cli
+
+    for argv in (["qfi", "--family", "tmsv", "--ns", "1", "--nb", "50"],
+                 ["curves", "--nb", "50", "--ns", "1", "--families", "tmsv"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--cutoff", "30", "--rel-tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def sim_config(tmp_path):
     cfg = {
