@@ -15,6 +15,7 @@ comment line.  Exit codes: 0 ok, 2 usage or invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="qillum",
         description="Quantum illumination via reflectivity estimation: "

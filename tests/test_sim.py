@@ -4,12 +4,59 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from numpy.random import Generator, Philox
 
 from qillum.qfi import qfi_bounds, qfi_gaussian_closed
-from qillum.sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
+from qillum.sim import (GUIDE_SIZE, MIN_ERROR_EVENTS, SAMPLE_CHUNK, ErrorReport,
+                        ProtocolConfig, UnresolvedStatisticsError,
                         classical_error_closed, exponent_fit, gain_summary,
                         gaussian_rate_fit, prepare_distributions, run_protocol,
                         sample_means, wilson_interval, xi_sweep)
+
+GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
+
+
+def searchsorted_sample_means(values, probabilities, m, trials, seed, stream):
+    """Oracle: the plain binary-search inverse-CDF sampler, one full
+    chunk of uniforms per SAMPLE_CHUNK trials."""
+    order = np.argsort(values)
+    vals = values[order]
+    cdf = np.cumsum(probabilities[order])
+    cdf /= cdf[-1]
+    out = np.empty(trials)
+    for start in range(0, trials, SAMPLE_CHUNK):
+        take = min(SAMPLE_CHUNK, trials - start)
+        bg = Philox(counter=[0, start // SAMPLE_CHUNK, 0, 0],
+                    key=[seed & 0xFFFFFFFFFFFFFFFF, stream])
+        u = Generator(bg).random((SAMPLE_CHUNK, m))
+        idx = np.searchsorted(cdf, u[:take], side="right")
+        np.clip(idx, 0, len(vals) - 1, out=idx)
+        out[start:start + take] = vals[idx].mean(axis=1)
+    return out
+
+
+@st.composite
+def outcome_distributions(draw):
+    """Values with repeats; probabilities either arbitrary nonnegative
+    floats or CDF steps on a 2^-20 grid, some snapped to the guide-table
+    bucket edges k / GUIDE_SIZE, repeated steps giving zero-probability
+    outcomes and a lone step a point mass."""
+    n = draw(st.integers(1, 40))
+    values = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.5]),
+                                    min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        probs = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                                       min_size=n, max_size=n)))
+        assume(probs.sum() > 0)
+        return values, probs
+    edge = st.integers(0, GUIDE_SIZE).map(lambda k: k * (GRID // GUIDE_SIZE))
+    steps = draw(st.lists(st.one_of(st.integers(0, GRID), edge, st.sampled_from([0, GRID])),
+                          min_size=n - 1, max_size=n - 1))
+    cdf = np.array(sorted(steps) + [GRID]) / GRID
+    probs = np.empty(n)
+    probs[np.argsort(values)] = np.diff(cdf, prepend=0.0)
+    return values, probs
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +175,29 @@ def test_sample_means_point_mass():
     assert np.all(out == 1.5)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dist=outcome_distributions(), m=st.sampled_from([1, 7, 300]),
+       size=st.floats(0.0, 1.0), split=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 40), stream=st.integers(0, 4001))
+def test_sample_means_matches_binary_search_oracle(dist, m, size, split, seed, stream):
+    values, probs = dist
+    # up to two chunk boundaries, fewer at m = 300 to bound the run time
+    trials = 1 + int(size * (SAMPLE_CHUNK + 50 if m == 300 else 2 * SAMPLE_CHUNK + 50))
+    expected = searchsorted_sample_means(values, probs, m, trials, seed, stream)
+    assert np.array_equal(sample_means(values, probs, m, trials, seed, stream), expected)
+    head = int(split * trials)
+    parts = [sample_means(values, probs, m, head, seed, stream),
+             sample_means(values, probs, m, trials - head, seed, stream, first=head)]
+    assert np.array_equal(np.concatenate(parts), expected)
+
+
+def test_sample_means_clamps_negative_probabilities():
+    values = np.array([-1.0, 0.0, 0.5, 2.0])
+    probs = np.array([0.3, -0.05, 0.4, 0.3])
+    expected = searchsorted_sample_means(values, np.maximum(probs, 0.0), 7, 5000, 4, 2)
+    assert np.array_equal(sample_means(values, probs, 7, 5000, seed=4, stream=2), expected)
+
+
 def test_sample_means_statistics():
     values = np.array([-1.0, 1.0])
     probs = np.array([0.5, 0.5])
@@ -186,6 +256,32 @@ def test_xi_sweep_monotone(coherent_setup):
     p2 = [r.p_type2 for r in reports]
     assert all(a >= b for a, b in zip(p1, p1[1:]))
     assert all(a <= b for a, b in zip(p2, p2[1:]))
+
+
+def test_xi_sweep_doublings_match_redrawn_trials():
+    cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3, xi=0.5,
+                         m_copies=200, trials=300, seed=11, trials_cap_factor=64,
+                         d_signal=16, dim_bath=16)
+    xis = [0.3, 0.5, 0.7]
+    dists = prepare_distributions(cfg)
+    reports = xi_sweep(cfg, xis, dists)
+    # oracle: every doubling redraws all trials with the binary-search sampler
+    trials = cfg.trials
+    while True:
+        means0 = searchsorted_sample_means(dists.dist_absent.values,
+                                           dists.dist_absent.probabilities,
+                                           cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies)
+        means1 = searchsorted_sample_means(dists.dist_present.values,
+                                           dists.dist_present.probabilities,
+                                           cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies + 1)
+        counts = [(int(np.count_nonzero(means0 > xi * cfg.eta)),
+                   int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in xis]
+        if all(min(c) >= MIN_ERROR_EVENTS for c in counts):
+            break
+        trials *= 2
+    assert cfg.trials < trials < cfg.trials * cfg.trials_cap_factor
+    assert [(r.trials, r.errors_type1, r.errors_type2) for r in reports] == \
+        [(trials, k1, k2) for k1, k2 in counts]
 
 
 def test_xi_branch_rate_scaling(coherent_setup):
