@@ -12,11 +12,10 @@ from .fock import (DensityOperator, DimensionError, TruncatedOperator,
 from .states import (SchmidtState, cat_idler_eigenvalues, cat_state,
                      cat_state_infinite_d, coherent, max_entangled_fock,
                      schmidt_decompose, state_from_family, tmsv)
-from .qfi import (ConvergenceError, QfiReport, converge_cutoff,
-                  eta_derivative, qfi_bounds, qfi_cat_direct,
-                  qfi_gaussian_closed, qfi_numerical, qfi_schmidt)
+from .qfi import (ConvergenceError, QfiReport, converge_cutoff, qfi_bounds,
+                  qfi_cat_direct, qfi_gaussian_closed, qfi_schmidt)
 from .estimator import (MomentBoundReport, ObservableSpectrum,
-                        OutcomeDistribution, gaussian_ab_observable,
+                        OutcomeDistribution, eta_derivative, gaussian_ab_observable,
                         mgf_empirical, mgf_radius, moment_bound_check,
                         outcome_distribution, quadrature_observable,
                         received_state, sld_from_eigensum, sld_observable,

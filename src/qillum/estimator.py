@@ -40,8 +40,7 @@ import numpy as np
 from .fock import (DensityOperator, TruncatedOperator, TruncationError,
                    annihilation, beamsplitter_unitary, eig_hermitian, sectors,
                    thermal_weights)
-# eta_derivative is shared with qfi_numerical and re-exported from here
-from .qfi import eta_derivative, qfi_schmidt, signal_lowering_matrix
+from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
 
@@ -103,6 +102,20 @@ class MomentBoundReport:
 def _spectrum(matrix: np.ndarray, cutoffs, source: str) -> ObservableSpectrum:
     lam, vec = eig_hermitian(TruncatedOperator(matrix, cutoffs, True))
     return ObservableSpectrum(lam, vec, source, np.asarray(matrix, dtype=np.complex128))
+
+
+def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
+    """Analytic reflectivity derivative of the received state at eta = 0,
+    on the (rank x bath) space of :func:`received_state`."""
+    rho_w = thermal_weights(n_bath, dim_bath)
+    rho_b = np.diag(rho_w)
+    b = annihilation(dim_bath).data
+    comm_b = b @ rho_b - rho_b @ b
+    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
+    m = signal_lowering_matrix(state)
+    sp = np.sqrt(state.probs)
+    outer = sp[:, None] * sp[None, :]
+    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
 
 
 def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> ObservableSpectrum:
@@ -248,16 +261,24 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
 
 
 def signal_antinormal_moments(state: SchmidtState, k_max: int) -> list:
-    """<s^k s'^k> of the signal marginal for k = 1..k_max, computed with
-    enough ladder headroom that no raised component is clipped."""
-    d_ext = state.d_signal + k_max
-    w = np.zeros((d_ext, state.rank), dtype=np.complex128)
-    w[: state.d_signal] = state.vectors
-    adag = annihilation(d_ext).data.conj().T
+    """<s^k s'^k> of the signal marginal for k = 1..k_max.
+
+    General vectors are raised by slicing, (s' w)[n] = sqrt(n) w[n-1], on
+    a space one level longer per raise, so no raised component is
+    clipped.  A level state uses |s'^k |L>|^2 = (L+1)...(L+k).
+    """
     moments = []
-    cur = w
+    if state.levels is not None:
+        raised = np.ones(state.rank)
+        for k in range(1, k_max + 1):
+            raised = raised * (state.levels + k)
+            moments.append(float(np.sum(state.probs * raised)))
+        return moments
+    cur = state.columns
     for _ in range(k_max):
-        cur = adag @ cur
+        up = np.zeros((cur.shape[0] + 1, state.rank), dtype=np.complex128)
+        up[1:] = np.sqrt(np.arange(1, cur.shape[0] + 1))[:, None] * cur
+        cur = up
         moments.append(float(np.sum(state.probs * np.sum(np.abs(cur) ** 2, axis=0))))
     return moments
 

@@ -29,7 +29,6 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-MAX_TENSOR_DIM = 1 << 14
 
 
 class DimensionError(ValueError):

@@ -3,8 +3,11 @@
 Everything is evaluated at zero reflectivity, where the received state is
 the product of the idler marginal and the thermal background.  The main
 entry point is :func:`qfi_schmidt`, the closed pair-sum over Schmidt
-terms; :func:`qfi_numerical` provides an independent route through the
-eigendecomposition definition for cross-validation, and
+terms, summed over the nonzero entries of the signal lowering matrix
+that :func:`signal_lowering_pairs` gives: the consecutive levels of a
+Fock-diagonal level state in O(rank), or a shifted-slice ladder for
+general vectors.  No d x d operator is built on this path, so its cost
+does not grow with the cutoff of a level state.
 :func:`qfi_cat_direct` evaluates the cat-family spectral sum with an
 explicit received-mode cutoff.
 """
@@ -16,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DimensionError, MAX_TENSOR_DIM, TruncatedOperator,
-                   annihilation, eig_hermitian, thermal_weights)
+from .fock import DimensionError, thermal_weights
 from .states import SchmidtState, cat_idler_eigenvalues
 
 DENOM_GUARD = 1e-14
-PAIR_FLOOR = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -107,12 +108,30 @@ def qfi_gaussian_closed(n_signal: float, n_bath: float) -> float:
     return 4.0 * n_signal / (1.0 + n_bath) / shrink
 
 
+def signal_lowering_pairs(state: SchmidtState):
+    """(rows, cols, values) with m[rows, cols] = values the nonzero entries
+    of m[i, j] = <w_i| s |w_j> over the state's Schmidt vectors.
+
+    A level state has <L_i|s|L_j> = sqrt(L_j) exactly when L_i = L_j - 1,
+    so its entries are the pairs of consecutive kept levels, found in
+    O(rank) whatever the cutoff and whatever levels pruning removed.
+    General vectors take the shifted slice v[:-1]' (sqrt(n) v[1:]).
+    """
+    if state.levels is not None:
+        k = np.flatnonzero(np.diff(state.levels) == 1)
+        return k, k + 1, np.sqrt(state.levels[k + 1])
+    v = state.columns
+    m = v[:-1].conj().T @ (np.sqrt(np.arange(1, state.d_signal))[:, None] * v[1:])
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
 def signal_lowering_matrix(state: SchmidtState) -> np.ndarray:
-    """m[i, j] = <w_i| s |w_j> over the state's Schmidt vectors."""
-    if state.d_signal < 2:
-        return np.zeros((state.rank, state.rank), dtype=np.complex128)
-    s = annihilation(state.d_signal).data
-    return state.vectors.conj().T @ (s @ state.vectors)
+    """Dense r x r view m[i, j] = <w_i| s |w_j> of :func:`signal_lowering_pairs`."""
+    rows, cols, values = signal_lowering_pairs(state)
+    m = np.zeros((state.rank, state.rank), dtype=np.complex128)
+    m[rows, cols] = values
+    return m
 
 
 def qfi_schmidt(state: SchmidtState, n_bath: float) -> QfiReport:
@@ -120,17 +139,18 @@ def qfi_schmidt(state: SchmidtState, n_bath: float) -> QfiReport:
 
     H = 4/(1+N_B) * sum_{a a'} p_a p_a' |<w_a'|s|w_a>|^2
                     / (p_a' + p_a N_B/(N_B+1)),
-    including the diagonal pairs.  Pairs whose denominator falls under
-    1e-14 cannot occur after pruning and are skipped defensively.
+    including the diagonal pairs, summed over the nonzero matrix
+    elements only.  Pairs whose denominator falls under 1e-14 cannot
+    occur after pruning and are skipped defensively.
     """
     if n_bath < 0:
         raise ValueError("bath photon number must be >= 0")
     p = state.probs
     q = n_bath / (1.0 + n_bath)
-    m = signal_lowering_matrix(state)
     # rows index a', columns a: numerator p_a p_a', denominator p_a' + p_a q
-    num = np.abs(m) ** 2 * (p[None, :] * p[:, None])
-    den = p[:, None] + p[None, :] * q
+    rows, cols, values = signal_lowering_pairs(state)
+    num = np.abs(values) ** 2 * (p[cols] * p[rows])
+    den = p[rows] + p[cols] * q
     mask = den > DENOM_GUARD
     h = 4.0 / (1.0 + n_bath) * float(np.sum(num[mask] / den[mask]))
     n_signal = state.mean_photons()
@@ -191,45 +211,6 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
                 total += abs(t2) ** 2 * float(
                     np.sum((n_dn[ok] + 1) * diff_up[ok] ** 2 / den[ok]))
     return 2.0 * n_signal / d ** 4 * total
-
-
-def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
-    """Analytic reflectivity derivative of the received state at eta = 0,
-    on the (rank x bath) space of :func:`qillum.estimator.received_state`."""
-    rho_w = thermal_weights(n_bath, dim_bath)
-    rho_b = np.diag(rho_w)
-    b = annihilation(dim_bath).data
-    comm_b = b @ rho_b - rho_b @ b
-    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
-    m = signal_lowering_matrix(state)
-    sp = np.sqrt(state.probs)
-    outer = sp[:, None] * sp[None, :]
-    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
-
-
-def qfi_numerical(state: SchmidtState, n_bath: float, dim_bath: int,
-                  max_dim: int = MAX_TENSOR_DIM, pair_floor: float = PAIR_FLOOR) -> float:
-    """Fisher information through the eigendecomposition definition.
-
-    Builds the zero-reflectivity received state on a concrete
-    (idler-rank x bath) space together with the reflectivity derivative,
-    then evaluates 2 sum |<m|drho|n>|^2 / (lam_m + lam_n), skipping pairs
-    whose eigenvalue sum is below ``pair_floor``.  Exists as a
-    cross-check of the pair sum in :func:`qfi_schmidt` through the
-    spectral definition.
-    """
-    r = state.rank
-    dim = r * dim_bath
-    if dim > max_dim:
-        raise DimensionError(f"joint dimension {dim} exceeds maximum {max_dim}")
-    drho = eta_derivative(state, n_bath, dim_bath)
-    rho0 = np.kron(np.diag(state.probs), np.diag(thermal_weights(n_bath, dim_bath)))
-    lam, vec = eig_hermitian(
-        TruncatedOperator(rho0, (r, dim_bath), True))
-    m = vec.conj().T @ drho @ vec
-    pair = lam[:, None] + lam[None, :]
-    mask = pair > pair_floor
-    return 2.0 * float(np.sum(np.abs(m[mask]) ** 2 / pair[mask]))
 
 
 def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = 1 << 15,

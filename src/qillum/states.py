@@ -8,6 +8,14 @@ observable) depends only on p_a, the w_a, and idler orthonormality.
 Measurement-stage code instantiates a concrete idler space of dimension
 equal to the Schmidt rank when it needs one.
 
+Level states are Fock-diagonal: each signal vector is one Fock level,
+w_a = |L_a>, and the state stores the ascending levels L_a instead of the
+vectors (tmsv, cat:inf, maxfock).  Ladder quantities then follow from the
+levels in O(rank) at any cutoff; the unit columns are materialized only
+when a caller reads ``vectors`` (received states, JSON, ``validate``).
+States with general vectors (coherent, cat:<d>, :func:`schmidt_decompose`)
+store them explicitly and apply the ladder as a shifted slice.
+
 Constructors take the signal cutoff from the caller and report the lost
 probability mass as ``deficit``; they never enlarge the space on their
 own and never renormalize.
@@ -20,8 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import annihilation
-
 PRUNE_EPS = 1e-14
 FAMILY_LABELS = ("tmsv", "coherent", "cat:<d>", "cat:inf", "maxfock:<d>")
 
@@ -31,30 +37,55 @@ class SchmidtState:
     """Schmidt-form signal-idler state.
 
     probs    : (r,) term probabilities p_a (exact, not renormalized)
-    vectors  : (d_signal, r) complex signal vectors as columns
+    columns  : (d_signal, r) complex signal vectors as columns, or None
+               for a level state; read them through ``vectors``
     deficit  : probability mass lost to truncation and pruning
     meta     : family label and construction parameters
+    levels   : (r,) strictly ascending Fock level of each signal vector
+               of a level state, None for general vectors
     """
 
     probs: np.ndarray
-    vectors: np.ndarray
+    columns: np.ndarray | None
     d_signal: int
     deficit: float
     meta: dict = field(default_factory=dict)
+    levels: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.columns is None) == (self.levels is None):
+            raise ValueError("give either explicit signal vectors or Fock levels")
+        if self.levels is not None:
+            self.levels = np.asarray(self.levels, dtype=np.int64)
+            lv = self.levels
+            if len(lv) != self.rank or np.any(np.diff(lv) <= 0) \
+                    or np.any(lv < 0) or np.any(lv >= self.d_signal):
+                raise ValueError("a level state needs one strictly ascending Fock "
+                                 "level below the cutoff per term")
 
     @property
     def rank(self) -> int:
         return len(self.probs)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """Signal vectors as columns; a level state builds its unit columns
+        on every read, so keep large-cutoff work on ``levels``."""
+        if self.levels is None:
+            return self.columns
+        unit = np.zeros((self.d_signal, self.rank), dtype=np.complex128)
+        unit[self.levels, np.arange(self.rank)] = 1.0
+        return unit
+
     def mean_photons(self) -> float:
-        if self.d_signal < 2:
-            return 0.0
-        a = annihilation(self.d_signal).data
-        lowered = a @ self.vectors
+        if self.levels is not None:
+            return float(np.sum(self.probs * self.levels))
+        lowered = np.sqrt(np.arange(1, self.d_signal))[:, None] * self.columns[1:]
         return float(np.sum(self.probs * np.sum(np.abs(lowered) ** 2, axis=0)))
 
     def validate(self, ortho_tol: float = 1e-9, mass_tol: float = 1e-10) -> None:
-        gram = self.vectors.conj().T @ self.vectors
+        vectors = self.vectors
+        gram = vectors.conj().T @ vectors
         dev = np.abs(gram - np.eye(self.rank)).max()
         if dev >= ortho_tol:
             raise ValueError(f"signal vectors not orthonormal, deviation {dev:.3e}")
@@ -65,6 +96,7 @@ class SchmidtState:
             raise ValueError("negative Schmidt probability")
 
     def to_json_dict(self) -> dict:
+        vectors = self.vectors
         return {
             "family": self.meta.get("family", "custom"),
             "params": {k: v for k, v in self.meta.items() if k != "family"},
@@ -73,8 +105,8 @@ class SchmidtState:
             "terms": [
                 {
                     "p": float(self.probs[i]),
-                    "re": self.vectors[:, i].real.tolist(),
-                    "im": self.vectors[:, i].imag.tolist(),
+                    "re": vectors[:, i].real.tolist(),
+                    "im": vectors[:, i].imag.tolist(),
                 }
                 for i in range(self.rank)
             ],
@@ -99,13 +131,19 @@ class SchmidtState:
         return cls.from_json_dict(json.loads(text))
 
 
-def _finalize(probs: np.ndarray, vectors: np.ndarray, d_signal: int, meta: dict) -> SchmidtState:
-    """Prune terms below PRUNE_EPS and account the total lost mass."""
+def _finalize(probs: np.ndarray, vectors: np.ndarray | None, d_signal: int,
+              meta: dict) -> SchmidtState:
+    """Prune terms below PRUNE_EPS and account the total lost mass.
+
+    ``vectors=None`` makes a level state whose term n is the Fock level n.
+    """
     probs = np.asarray(probs, dtype=float)
-    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)
     keep = probs > PRUNE_EPS
     probs = probs[keep]
-    vectors = vectors[:, keep]
+    if vectors is None:
+        deficit = max(0.0, 1.0 - float(np.sum(probs)))
+        return SchmidtState(probs, None, d_signal, deficit, meta, levels=np.flatnonzero(keep))
+    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)[:, keep]
     norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
     deficit = max(0.0, 1.0 - float(np.sum(probs * norms2)))
     return SchmidtState(probs, vectors, d_signal, deficit, meta)
@@ -118,8 +156,7 @@ def tmsv(n_signal: float, d_signal: int) -> SchmidtState:
     from .fock import thermal_weights
 
     probs = thermal_weights(n_signal, d_signal)
-    vectors = np.eye(d_signal, dtype=np.complex128)
-    return _finalize(probs, vectors, d_signal,
+    return _finalize(probs, None, d_signal,
                      {"family": "tmsv", "n_signal": n_signal})
 
 
@@ -150,9 +187,7 @@ def max_entangled_fock(d: int) -> SchmidtState:
     """Flat superposition of the first d Fock levels, p = 1/d, w_n = |n>."""
     if d < 1:
         raise ValueError("rank must be >= 1")
-    probs = np.full(d, 1.0 / d)
-    vectors = np.eye(d, dtype=np.complex128)
-    return _finalize(probs, vectors, d,
+    return _finalize(np.full(d, 1.0 / d), None, d,
                      {"family": "maxfock", "d": d, "n_signal": (d - 1) / 2.0})
 
 
@@ -218,9 +253,7 @@ def cat_state_infinite_d(n_signal: float, d_signal: int) -> SchmidtState:
     n = np.arange(d_signal)
     log_p = -n_signal + n * np.log(n_signal) - _log_factorial(n) if n_signal > 0 \
         else np.where(n == 0, 0.0, -np.inf)
-    probs = np.exp(log_p)
-    vectors = np.eye(d_signal, dtype=np.complex128)
-    return _finalize(probs, vectors, d_signal,
+    return _finalize(np.exp(log_p), None, d_signal,
                      {"family": "cat_inf", "n_signal": n_signal})
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import (mgf_empirical, mgf_radius, moment_bound_check,
-                        outcome_distribution, received_state, sld_observable,
-                        unbiasedness_check)
-from .qfi import (converge_cutoff, eta_derivative, qfi_bounds, qfi_cat_direct,
+from .estimator import (eta_derivative, mgf_empirical, mgf_radius,
+                        moment_bound_check, outcome_distribution, received_state,
+                        sld_observable, unbiasedness_check)
+from .qfi import (converge_cutoff, qfi_bounds, qfi_cat_direct,
                   qfi_gaussian_closed, qfi_schmidt)
 from .sim import (ProtocolConfig, gaussian_rate_fit, prepare_distributions,
                   run_protocol, xi_sweep)

@@ -227,6 +227,20 @@ def test_validate_fast_suite(tmp_path):
     assert summary["total"] == len(lines)
 
 
+def test_bright_tmsv_nonconvergence_exits_3_quickly():
+    # the geometric tail at N_S = 150 outruns the 4096 cutoff cap; level
+    # states make each of the doublings O(cutoff), so the verdict is fast
+    import time
+
+    import qillum.cli as cli
+
+    start = time.perf_counter()
+    rc = cli.main(["qfi", "--family", "tmsv", "--ns", "150", "--nb", "50",
+                   "--rel-tol", "1e-10"])
+    assert rc == 3
+    assert time.perf_counter() - start < 2.0
+
+
 def test_nonconvergence_exits_3(monkeypatch):
     import qillum.cli as cli
     from qillum.qfi import ConvergenceError

@@ -141,6 +141,18 @@ def test_fock_basis_families_have_theorem_form():
         assert np.allclose(st.vectors, np.eye(25)[:, : st.rank])
 
 
+def test_level_state_contract():
+    st = tmsv(0.6, 25)
+    assert np.array_equal(st.levels, np.arange(st.rank)) and st.columns is None
+    # cat:inf prunes level 0 from N_S = 33 on, so its kept levels start above 0
+    assert cat_state_infinite_d(35.0, 120).levels[0] > 0
+    p = np.array([0.5, 0.5])
+    for columns, levels in ((None, None), (np.eye(3)[:, :2], [0, 1]), (None, [1, 0]),
+                            (None, [0, 3]), (None, [-1, 0]), (None, [0])):
+        with pytest.raises(ValueError):
+            SchmidtState(p, columns, 3, 0.0, levels=levels)
+
+
 def test_schmidt_decompose_product_state():
     amp = np.outer([1.0, 0.0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
     sd = schmidt_decompose(amp)
