@@ -263,18 +263,11 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
 def signal_antinormal_moments(state: SchmidtState, k_max: int) -> list:
     """<s^k s'^k> of the signal marginal for k = 1..k_max.
 
-    General vectors are raised by slicing, (s' w)[n] = sqrt(n) w[n-1], on
-    a space one level longer per raise, so no raised component is
-    clipped.  A level state uses |s'^k |L>|^2 = (L+1)...(L+k).
+    The vectors are raised by slicing, (s' w)[n] = sqrt(n) w[n-1], on a
+    space one level longer per raise, so no raised component is clipped.
     """
     moments = []
-    if state.levels is not None:
-        raised = np.ones(state.rank)
-        for k in range(1, k_max + 1):
-            raised = raised * (state.levels + k)
-            moments.append(float(np.sum(state.probs * raised)))
-        return moments
-    cur = state.columns
+    cur = state.vectors
     for _ in range(k_max):
         up = np.zeros((cur.shape[0] + 1, state.rank), dtype=np.complex128)
         up[1:] = np.sqrt(np.arange(1, cur.shape[0] + 1))[:, None] * cur

@@ -4,8 +4,8 @@ Everything is evaluated at zero reflectivity, where the received state is
 the product of the idler marginal and the thermal background.  The main
 entry point is :func:`qfi_schmidt`, the closed pair-sum over Schmidt
 terms, summed over the nonzero entries of the signal lowering matrix
-that :func:`signal_lowering_pairs` gives: the consecutive levels of a
-Fock-diagonal level state in O(rank), or a shifted-slice ladder for
+that :meth:`SchmidtState.lowering_pairs` gives: the consecutive levels
+of a Fock-diagonal level state in O(rank), or a shifted-slice ladder for
 general vectors.  No d x d operator is built on this path, so its cost
 does not grow with the cutoff of a level state.
 :func:`qfi_cat_direct` evaluates the cat-family spectral sum with an
@@ -108,27 +108,9 @@ def qfi_gaussian_closed(n_signal: float, n_bath: float) -> float:
     return 4.0 * n_signal / (1.0 + n_bath) / shrink
 
 
-def signal_lowering_pairs(state: SchmidtState):
-    """(rows, cols, values) with m[rows, cols] = values the nonzero entries
-    of m[i, j] = <w_i| s |w_j> over the state's Schmidt vectors.
-
-    A level state has <L_i|s|L_j> = sqrt(L_j) exactly when L_i = L_j - 1,
-    so its entries are the pairs of consecutive kept levels, found in
-    O(rank) whatever the cutoff and whatever levels pruning removed.
-    General vectors take the shifted slice v[:-1]' (sqrt(n) v[1:]).
-    """
-    if state.levels is not None:
-        k = np.flatnonzero(np.diff(state.levels) == 1)
-        return k, k + 1, np.sqrt(state.levels[k + 1])
-    v = state.columns
-    m = v[:-1].conj().T @ (np.sqrt(np.arange(1, state.d_signal))[:, None] * v[1:])
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
-
-
 def signal_lowering_matrix(state: SchmidtState) -> np.ndarray:
-    """Dense r x r view m[i, j] = <w_i| s |w_j> of :func:`signal_lowering_pairs`."""
-    rows, cols, values = signal_lowering_pairs(state)
+    """Dense r x r view m[i, j] = <w_i| s |w_j> of the state's lowering pairs."""
+    rows, cols, values = state.lowering_pairs()
     m = np.zeros((state.rank, state.rank), dtype=np.complex128)
     m[rows, cols] = values
     return m
@@ -148,7 +130,7 @@ def qfi_schmidt(state: SchmidtState, n_bath: float) -> QfiReport:
     p = state.probs
     q = n_bath / (1.0 + n_bath)
     # rows index a', columns a: numerator p_a p_a', denominator p_a' + p_a q
-    rows, cols, values = signal_lowering_pairs(state)
+    rows, cols, values = state.lowering_pairs()
     num = np.abs(values) ** 2 * (p[cols] * p[rows])
     den = p[rows] + p[cols] * q
     mask = den > DENOM_GUARD

@@ -83,6 +83,23 @@ class SchmidtState:
         lowered = np.sqrt(np.arange(1, self.d_signal))[:, None] * self.columns[1:]
         return float(np.sum(self.probs * np.sum(np.abs(lowered) ** 2, axis=0)))
 
+    def lowering_pairs(self):
+        """(rows, cols, values) with m[rows, cols] = values the nonzero entries
+        of m[i, j] = <w_i| s |w_j> over the Schmidt vectors.
+
+        A level state has <L_i|s|L_j> = sqrt(L_j) exactly when L_i = L_j - 1,
+        so its entries are the pairs of consecutive kept levels, found in
+        O(rank) whatever the cutoff and whatever levels pruning removed.
+        General vectors take the shifted slice v[:-1]' (sqrt(n) v[1:]).
+        """
+        if self.levels is not None:
+            k = np.flatnonzero(np.diff(self.levels) == 1)
+            return k, k + 1, np.sqrt(self.levels[k + 1])
+        v = self.columns
+        m = v[:-1].conj().T @ (np.sqrt(np.arange(1, self.d_signal))[:, None] * v[1:])
+        rows, cols = np.nonzero(m)
+        return rows, cols, m[rows, cols]
+
     def validate(self, ortho_tol: float = 1e-9, mass_tol: float = 1e-10) -> None:
         vectors = self.vectors
         gram = vectors.conj().T @ vectors
