@@ -72,6 +72,8 @@ def _parse_grid(spec: str):
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 phase: float, rel_tol: float | None = None) -> QfiReport:
     name, order = parse_family(family)
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if rel_tol is not None and name != "maxfock":
         # auto-converge policy: grow the transmitter cutoff until the
         # information value stabilizes
@@ -80,7 +82,7 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
         _, d_signal = converge_cutoff(
             lambda d: qfi_schmidt(
                 state_from_family(family, n_signal, d, phase=phase), n_bath).h,
-            rel_tol=rel_tol, max_cutoff=1 << 12, start=16)
+            rel_tol=rel_tol, start=16)
     else:
         d_signal = cutoff if cutoff is not None else _default_cutoff(name, order, n_signal)
     state = state_from_family(family, n_signal, d_signal, phase=phase)

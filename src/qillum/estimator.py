@@ -20,8 +20,13 @@ transmitters (tmsv, cat:inf, maxfock) split into the sectors
 q = a - n_b of Schmidt index a and returned-mode level n_b; a state
 whose matrices have no exact zeros is one sector.
 
-Desk-scale note: received states and observables are still returned as
-dense matrices of side rank * bath_dim, so full received-state
+The observable and the received states are plain dense complex128
+arrays of side rank * bath_dim; a received state comes wrapped in a
+:class:`~qillum.fock.DensityOperator` that carries its trace deficit.
+The SLD is the only observable built here: the quadrature and ab + a'b'
+forms it reduces to for coherent and tmsv transmitters are test oracles.
+
+Desk-scale note: because those matrices are dense, full received-state
 construction is intended for modest bath occupation (a few photons), with
 the bath cutoff chosen so the thermal tail is negligible.  Bright-bath
 statements are validated through the closed-form information quantities
@@ -37,20 +42,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityOperator, TruncatedOperator, TruncationError,
-                   annihilation, beamsplitter_unitary, eig_hermitian, sectors,
-                   thermal_weights)
+from .fock import (DensityOperator, TruncationError, annihilation,
+                   beamsplitter_unitary, eig_hermitian, sectors, thermal_weights)
 from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
 
 @dataclass
 class ObservableSpectrum:
-    """Spectral form of a measured Hermitian observable."""
+    """Spectral form of the optimal observable built by :func:`sld_observable`."""
 
     eigenvalues: np.ndarray      # real, descending
     basis: np.ndarray            # orthonormal eigenvector columns
-    source: str                  # sld | gaussian_ab | quadrature
     matrix: np.ndarray           # the observable itself, kept for moment work
 
     @property
@@ -74,12 +77,6 @@ class OutcomeDistribution:
         mu = self.mean()
         return float(np.dot(self.probabilities, (self.values - mu) ** 2))
 
-    def to_csv(self) -> str:
-        lines = ["# schema: qi.dist.v1", "value,probability"]
-        lines += [f"{repr(float(v))},{repr(float(p))}"
-                  for v, p in zip(self.values, self.probabilities)]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class MomentBoundReport:
@@ -99,17 +96,12 @@ class MomentBoundReport:
         return all(self.passed)
 
 
-def _spectrum(matrix: np.ndarray, cutoffs, source: str) -> ObservableSpectrum:
-    lam, vec = eig_hermitian(TruncatedOperator(matrix, cutoffs, True))
-    return ObservableSpectrum(lam, vec, source, np.asarray(matrix, dtype=np.complex128))
-
-
 def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
     """Analytic reflectivity derivative of the received state at eta = 0,
     on the (rank x bath) space of :func:`received_state`."""
     rho_w = thermal_weights(n_bath, dim_bath)
     rho_b = np.diag(rho_w)
-    b = annihilation(dim_bath).data
+    b = annihilation(dim_bath)
     comm_b = b @ rho_b - rho_b @ b
     comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
     m = signal_lowering_matrix(state)
@@ -133,26 +125,12 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     q = n_bath / (1.0 + n_bath)
     m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
     c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
-    b = annihilation(dim_bath).data
+    b = annihilation(dim_bath)
     obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
     obs *= -2.0 / (rep.h * (1.0 + n_bath))
     obs = 0.5 * (obs + obs.conj().T)
-    return _spectrum(obs, (state.rank, dim_bath), "sld")
-
-
-def gaussian_ab_observable(dim_idler: int, dim_bath: int) -> ObservableSpectrum:
-    """ab + a'b' on (idler x returned mode), the Gaussian-transmitter form."""
-    a = annihilation(dim_idler).data
-    b = annihilation(dim_bath).data
-    obs = np.kron(a, b) + np.kron(a.conj().T, b.conj().T)
-    return _spectrum(obs, (dim_idler, dim_bath), "gaussian_ab")
-
-
-def quadrature_observable(phase: float, dim_bath: int) -> ObservableSpectrum:
-    """e^{-i phase} b + e^{i phase} b' on the returned mode alone."""
-    b = annihilation(dim_bath).data
-    obs = np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T
-    return _spectrum(obs, (dim_bath,), "quadrature")
+    lam, vec = eig_hermitian(obs)
+    return ObservableSpectrum(lam, vec, obs)
 
 
 def _blocks(m: np.ndarray) -> list:
@@ -166,7 +144,6 @@ def _blocks(m: np.ndarray) -> list:
 
 
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
-                   dim_signal: int | None = None,
                    deficit_tol: float | None = None) -> DensityOperator:
     """Received (idler x returned mode) state after reflection ``eta``.
 
@@ -177,14 +154,11 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     so entries between blocks are exact zeros.  The total trace deficit
     combines the transmitter's truncation with the thermal tail.
     """
-    d_s = state.d_signal if dim_signal is None else int(dim_signal)
-    if d_s < state.d_signal:
-        raise ValueError("signal cutoff cannot be below the state's own cutoff")
+    d_s = state.d_signal
     r = state.rank
     rho_w = thermal_weights(n_bath, dim_bath)
-    u = beamsplitter_unitary(eta, d_s, dim_bath).data
-    w = np.zeros((d_s, r), dtype=np.complex128)
-    w[: state.d_signal] = state.vectors * np.sqrt(state.probs)[None, :]
+    u = beamsplitter_unitary(eta, d_s, dim_bath)
+    w = state.vectors * np.sqrt(state.probs)[None, :]
     # column (a, n) of x is w~_a (x) |n>
     x = np.zeros((d_s * dim_bath, r * dim_bath), dtype=np.complex128)
     for n in range(dim_bath):
@@ -203,26 +177,11 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     if deficit_tol is not None and deficit > deficit_tol:
         raise TruncationError(
             f"received-state deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}")
-    return DensityOperator(TruncatedOperator(rho, (r, dim_bath), True), deficit)
-
-
-def sld_from_eigensum(rho0: DensityOperator, drho: np.ndarray,
-                      pair_floor: float = 1e-12) -> np.ndarray:
-    """Symmetric logarithmic derivative from the spectral definition
-    L = 2 sum_{mn} <m|drho|n> / (lam_m + lam_n) |m><n|, restricted to the
-    eigenvalue-pair support above ``pair_floor``."""
-    lam, vec = eig_hermitian(rho0.op)
-    m = vec.conj().T @ drho @ vec
-    pair = lam[:, None] + lam[None, :]
-    coef = np.zeros_like(m)
-    mask = pair > pair_floor
-    coef[mask] = 2.0 * m[mask] / pair[mask]
-    return vec @ coef @ vec.conj().T
+    return DensityOperator(rho, deficit)
 
 
 def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
-                       eta_grid=(0.0, 1e-3, 5e-3, 1e-2),
-                       dim_signal: int | None = None) -> dict:
+                       eta_grid=(0.0, 1e-3, 5e-3, 1e-2)) -> dict:
     """Quadratic fit of eta -> Tr(rho_eta O) for the optimal observable.
 
     Returns the fitted intercept, slope, and curvature.  An unbiased
@@ -233,7 +192,7 @@ def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
     etas = np.asarray(sorted(eta_grid), dtype=float)
     means = []
     for eta in etas:
-        rho = received_state(state, n_bath, eta, dim_bath, dim_signal=dim_signal)
+        rho = received_state(state, n_bath, eta, dim_bath)
         means.append(float(np.real(np.trace(rho.data @ obs.matrix))))
     design = np.vander(etas, 3, increasing=True)  # columns 1, eta, eta^2
     coef, *_ = np.linalg.lstsq(design, np.asarray(means), rcond=None)

@@ -3,18 +3,14 @@
 Each trial draws M single-copy outcomes of the optimal observable, takes
 their mean as the reflectivity estimate, and declares the object present
 when the estimate exceeds xi * eta.  Type I and II error probabilities
-are estimated with Wilson confidence intervals, and exponential decay
-rates are extracted two ways:
-
-* ``exponent_fit``: weighted linear fit of -log P against M through the
-  origin.  This matches the idealized pure-exponential picture but is
-  biased upward at desk-scale M by the subexponential prefactor of the
-  true tail (for a Gaussian mean, P = erfc(sqrt(rate * M)) / 2, whose
-  -log P carries an additive ~ 0.5 log M term).
-* ``gaussian_rate_fit``: inverts the Gaussian tail form before fitting,
-  y(M) = erfcinv(2 P)^2 = rate * M, which removes that prefactor and
-  recovers the decay rate already at moderate M.  This is the estimator
-  used when comparing against the predicted rates xi^2 eta^2 H / 2.
+are estimated with Wilson confidence intervals.  Exponential decay rates
+come from ``gaussian_rate_fit``, which inverts the Gaussian tail form
+before fitting, y(M) = erfcinv(2 P)^2 = rate * M.  A plain fit of -log P
+against M would be biased upward at desk-scale M by the subexponential
+prefactor of the true tail (for a Gaussian mean, P = erfc(sqrt(rate * M))
+/ 2, whose -log P carries an additive ~ 0.5 log M term); the inversion
+removes that prefactor and recovers the rate already at moderate M.
+These are the rates compared against the predictions xi^2 eta^2 H / 2.
 
 Sampling uses counter-based RNG streams keyed by (seed, stream, chunk):
 every trial's draws are reproducible independently of execution order,
@@ -78,13 +74,10 @@ class ProtocolConfig:
         if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
                 min(self.prior_absent, self.prior_present) < 0:
             raise ValueError("priors must form a distribution")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ProtocolConfig":
-        return cls(**payload)
+        if self.d_signal is not None and self.d_signal < 1:
+            raise ValueError("transmitter cutoff d_signal must be >= 1")
+        if self.dim_bath is not None and self.dim_bath < 2:
+            raise ValueError("returned-mode cutoff dim_bath must be >= 2")
 
 
 @dataclass
@@ -373,29 +366,6 @@ def run_protocol(cfg: ProtocolConfig,
     return xi_sweep(cfg, [cfg.xi], dists)[0]
 
 
-def exponent_fit(m_grid, p_estimates, weights=None):
-    """Weighted linear fit of -log P against M through the origin.
-
-    Exact when P decays purely exponentially; at desk-scale M the
-    subexponential prefactor biases this estimate upward (see the module
-    docstring).  Raises when any estimate is zero.
-    """
-    ms = np.asarray(m_grid, dtype=float)
-    ps = np.asarray(p_estimates, dtype=float)
-    if len(ms) < 3:
-        raise ValueError("need at least three M values")
-    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
-        raise UnresolvedStatisticsError(
-            "error probability estimate of 0 or 1; increase trials")
-    y = -np.log(ps)
-    w = np.ones_like(ms) if weights is None else np.asarray(weights, dtype=float)
-    rate = float(np.sum(w * ms * y) / np.sum(w * ms * ms))
-    resid = y - rate * ms
-    dof = max(1, len(ms) - 1)
-    var = float(np.sum(w * resid ** 2) / dof / np.sum(w * ms * ms))
-    return rate, math.sqrt(max(var, 0.0))
-
-
 def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):
     """Decay rate via the Gaussian tail inversion y = erfcinv(2P)^2 = rate*M.
 
@@ -420,15 +390,3 @@ def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):
     rate = float(np.sum(w * ms * y) / denom)
     stderr = math.sqrt(1.0 / denom)
     return rate, stderr
-
-
-def gain_summary(rate_quantum: float, err_quantum: float,
-                 rate_classical: float, err_classical: float):
-    """Exponent gain in dB, 10 log10(rate_q / rate_c), with propagated error."""
-    if rate_quantum <= 0 or rate_classical <= 0:
-        raise ValueError("rates must be positive")
-    db = 10.0 * math.log10(rate_quantum / rate_classical)
-    rel = math.sqrt((err_quantum / rate_quantum) ** 2
-                    + (err_classical / rate_classical) ** 2)
-    return db, 10.0 * rel / math.log(10.0)
-

@@ -12,7 +12,7 @@ Level states are Fock-diagonal: each signal vector is one Fock level,
 w_a = |L_a>, and the state stores the ascending levels L_a instead of the
 vectors (tmsv, cat:inf, maxfock).  Ladder quantities then follow from the
 levels in O(rank) at any cutoff; the unit columns are materialized only
-when a caller reads ``vectors`` (received states, JSON, ``validate``).
+when a caller reads ``vectors`` (received states, ``validate``).
 States with general vectors (coherent, cat:<d>, :func:`schmidt_decompose`)
 store them explicitly and apply the ladder as a shifted slice.
 
@@ -23,7 +23,6 @@ own and never renormalize.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,8 @@ FAMILY_LABELS = ("tmsv", "coherent", "cat:<d>", "cat:inf", "maxfock:<d>")
 class SchmidtState:
     """Schmidt-form signal-idler state.
 
-    probs    : (r,) term probabilities p_a (exact, not renormalized)
+    probs    : (r,) term probabilities p_a (exact, not renormalized);
+               a state keeps at least one term
     columns  : (d_signal, r) complex signal vectors as columns, or None
                for a level state; read them through ``vectors``
     deficit  : probability mass lost to truncation and pruning
@@ -53,6 +53,9 @@ class SchmidtState:
     levels: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.rank == 0:
+            raise ValueError(f"no Schmidt term is kept at cutoff {self.d_signal}; "
+                             "every weight is pruned")
         if (self.columns is None) == (self.levels is None):
             raise ValueError("give either explicit signal vectors or Fock levels")
         if self.levels is not None:
@@ -111,41 +114,6 @@ class SchmidtState:
             raise ValueError(f"probability mass {mass:.12f} differs from 1")
         if np.any(self.probs < 0):
             raise ValueError("negative Schmidt probability")
-
-    def to_json_dict(self) -> dict:
-        vectors = self.vectors
-        return {
-            "family": self.meta.get("family", "custom"),
-            "params": {k: v for k, v in self.meta.items() if k != "family"},
-            "cutoff": self.d_signal,
-            "deficit": self.deficit,
-            "terms": [
-                {
-                    "p": float(self.probs[i]),
-                    "re": vectors[:, i].real.tolist(),
-                    "im": vectors[:, i].imag.tolist(),
-                }
-                for i in range(self.rank)
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kwargs)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SchmidtState":
-        terms = payload["terms"]
-        probs = np.array([t["p"] for t in terms], dtype=float)
-        vectors = np.array(
-            [np.asarray(t["re"]) + 1j * np.asarray(t["im"]) for t in terms]
-        ).T
-        meta = {"family": payload.get("family", "custom")}
-        meta.update(payload.get("params", {}))
-        return cls(probs, vectors, int(payload["cutoff"]), float(payload["deficit"]), meta)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SchmidtState":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _finalize(probs: np.ndarray, vectors: np.ndarray | None, d_signal: int,

@@ -51,9 +51,30 @@ def test_qfi_invalid_family_exits_2():
     assert "unknown family" in out.stderr
 
 
-def test_qfi_invalid_params_exit_2():
+def test_qfi_invalid_params_exit_2(capsys):
     out = run_cli("qfi", "--family", "tmsv", "--ns", "-1", "--nb", "50")
     assert out.returncode == 2
+    import qillum.cli as cli
+
+    # cutoffs below 1 are rejected before any state is built
+    for family, cutoff in (("coherent", "0"), ("cat:2", "0"), ("tmsv", "-5"),
+                           ("maxfock:3", "0")):
+        assert cli.main(["qfi", "--family", family, "--ns", "1", "--nb", "1",
+                         "--cutoff", cutoff]) == 2
+        assert "cutoff must be >= 1" in capsys.readouterr().err
+    assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
+                     "--cutoff", "0"]) == 2
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+def test_qfi_fully_pruned_state_exits_2(capsys):
+    # every Poisson weight of cat:inf at N_S = 100 is pruned at the first
+    # cutoffs of the doubling, which must not read as a converged H = 0
+    import qillum.cli as cli
+
+    assert cli.main(["qfi", "--family", "cat:inf", "--ns", "100", "--nb", "50",
+                     "--rel-tol", "1e-10"]) == 2
+    assert "no Schmidt term" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():
@@ -186,7 +207,9 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
                                 ("eta", 1.5, "reflectivity"),
                                 ("n_signal", -0.5, "photon numbers"),
                                 ("n_bath", -1.0, "photon numbers"),
-                                ("family", "cat:x", "unknown family")):
+                                ("family", "cat:x", "unknown family"),
+                                ("d_signal", 0, "d_signal must be >= 1"),
+                                ("dim_bath", 1, "dim_bath must be >= 2")):
         path = tmp_path / f"bad_{key}.json"
         path.write_text(json.dumps(dict(good, **{key: value})))
         assert cli.main(["simulate", "--config", str(path)]) == 2
@@ -227,18 +250,25 @@ def test_validate_fast_suite(tmp_path):
     assert summary["total"] == len(lines)
 
 
-def test_bright_tmsv_nonconvergence_exits_3_quickly():
-    # the geometric tail at N_S = 150 outruns the 4096 cutoff cap; level
-    # states make each of the doublings O(cutoff), so the verdict is fast
+def test_bright_tmsv_nonconvergence_exits_3_quickly(capsys):
+    # the geometric tail at N_S = 1000 outruns the 32768 cutoff cap of
+    # converge_cutoff; level states make each of the doublings O(cutoff),
+    # so the verdict is fast
     import time
 
     import qillum.cli as cli
 
     start = time.perf_counter()
-    rc = cli.main(["qfi", "--family", "tmsv", "--ns", "150", "--nb", "50",
+    rc = cli.main(["qfi", "--family", "tmsv", "--ns", "1000", "--nb", "50",
                    "--rel-tol", "1e-10"])
     assert rc == 3
     assert time.perf_counter() - start < 2.0
+    # N_S = 150 converges below that cap
+    assert cli.main(["qfi", "--family", "tmsv", "--ns", "150", "--nb", "50",
+                     "--rel-tol", "1e-10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    exact = 4 * 150 / 51 / (1 + (150 / 151) * (50 / 51))
+    assert payload["H"] == pytest.approx(exact, rel=1e-9)
 
 
 def test_nonconvergence_exits_3(monkeypatch):

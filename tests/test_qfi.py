@@ -192,9 +192,7 @@ def test_level_route_matches_explicit_columns(family, n_signal, n_bath, headroom
         wider = qfi_schmidt(state_from_family(label, n_signal, 2 * d_signal), n_bath)
         assert wider.h >= rep.h * (1.0 - 1e-15)
 
-    clone = SchmidtState.from_json(state.to_json())
-    assert np.array_equal(clone.vectors, np.eye(state.d_signal)[:, state.levels])
-    assert np.array_equal(clone.probs, state.probs) and clone.deficit == state.deficit
+    assert np.array_equal(state.vectors, np.eye(state.d_signal)[:, state.levels])
 
 
 def test_sliced_ladder_matches_dense_annihilation():
@@ -203,7 +201,7 @@ def test_sliced_ladder_matches_dense_annihilation():
     for state in (coherent(1.3, 0.4, 30), cat_state(2.0, 3, 30),
                   schmidt_decompose(amp / np.linalg.norm(amp))):
         v, d = state.vectors, state.d_signal
-        a = annihilation(d + 3).data
+        a = annihilation(d + 3)
         assert_close(signal_lowering_matrix(state), v.conj().T @ a[:d, :d] @ v)
         lowered = a[:d, :d] @ v
         assert_close(state.mean_photons(),

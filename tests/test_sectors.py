@@ -17,8 +17,8 @@ from qillum.states import state_from_family
 
 
 def dense_beamsplitter(eta, dim_signal, dim_bath):
-    s = annihilation(dim_signal).data
-    b = annihilation(dim_bath).data
+    s = annihilation(dim_signal)
+    b = annihilation(dim_bath)
     gen = np.kron(s.conj().T, b) - np.kron(s, b.conj().T)
     return expm(np.arcsin(eta) * gen)
 
@@ -78,7 +78,7 @@ def test_sectors_of_permuted_blocks():
 
 def test_beamsplitter_matches_dense_expm():
     for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9)):
-        u = beamsplitter_unitary(eta, d_s, d_b).data
+        u = beamsplitter_unitary(eta, d_s, d_b)
         assert np.abs(u - dense_beamsplitter(eta, d_s, d_b)).max() < 1e-12
 
 

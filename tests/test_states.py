@@ -54,7 +54,7 @@ def test_coherent_is_lowering_eigenvector():
     from qillum.fock import annihilation
 
     w = st.vectors[:, 0]
-    m = w.conj() @ annihilation(30).data @ w
+    m = w.conj() @ annihilation(30) @ w
     alpha = np.sqrt(1.0) * np.exp(0.7j)
     assert abs(m - alpha) < 1e-12
 
@@ -179,21 +179,6 @@ def test_schmidt_decompose_sorted_descending():
     assert np.all(np.diff(sd.probs) <= 0)
 
 
-def test_json_roundtrip():
-    st = cat_state(0.7, 3, 25)
-    clone = SchmidtState.from_json(st.to_json())
-    assert clone.d_signal == st.d_signal
-    assert np.abs(clone.probs - st.probs).max() == 0.0
-    assert np.abs(clone.vectors - st.vectors).max() == 0.0
-    assert clone.meta["family"] == "cat"
-
-
-def test_json_shape():
-    payload = tmsv(0.5, 6).to_json_dict()
-    assert set(payload) == {"family", "params", "cutoff", "deficit", "terms"}
-    assert set(payload["terms"][0]) == {"p", "re", "im"}
-
-
 def test_state_from_family_labels():
     assert state_from_family("tmsv", 0.5, 20).meta["family"] == "tmsv"
     assert state_from_family("coherent", 0.5, 20).meta["family"] == "coherent"
@@ -203,6 +188,19 @@ def test_state_from_family_labels():
     for bad in ("squeezed", "cat:x", "cat:", "maxfock:inf", "tmsv:2", 2):
         with pytest.raises(ValueError, match="unknown family"):
             state_from_family(bad, 0.5, 20)
+
+
+def test_constructor_rejects_a_state_without_terms():
+    # every Poisson weight of cat:inf at N_S = 100 lies below the pruning
+    # threshold at cutoffs 16 and 32
+    for d_signal in (16, 32):
+        with pytest.raises(ValueError, match="no Schmidt term"):
+            cat_state_infinite_d(100.0, d_signal)
+    assert cat_state_infinite_d(100.0, 64).rank > 0
+    for fn in (lambda: tmsv(0.5, 0),
+               lambda: SchmidtState(np.empty(0), None, 5, 1.0, levels=[])):
+        with pytest.raises(ValueError, match="no Schmidt term"):
+            fn()
 
 
 def test_constructor_rejects_negative_photons():
