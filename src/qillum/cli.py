@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .fock import DimensionError, TruncationError
-from .qfi import ConvergenceError, QfiReport, qfi_schmidt
+from .qfi import MAX_CUTOFF, ConvergenceError, QfiReport, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions, run_protocol)
 from .states import parse_family, state_from_family
@@ -43,7 +43,10 @@ def _default_cutoff(name: str, order: int | None, n_signal: float) -> int:
         ratio = n_signal / (1.0 + n_signal) if n_signal > 0 else 0.0
         if ratio == 0.0:
             return 8
-        return min(4000, max(16, int(math.ceil(math.log(1e-12) / math.log(ratio))) + 2))
+        cutoff = max(16, int(math.ceil(math.log(1e-12) / math.log(ratio))) + 2)
+        if cutoff > MAX_CUTOFF:
+            raise ConvergenceError(f"tmsv tail needs cutoff {cutoff}, above the cap {MAX_CUTOFF}")
+        return cutoff
     # Poisson-weighted families: mean + 10 sigma of headroom
     return max(24, int(math.ceil(n_signal + 10.0 * math.sqrt(n_signal + 1.0) + 10)))
 

@@ -12,13 +12,13 @@ Received states are computed without materializing the tripartite
 levels and each pure component is pushed through the beamsplitter, which
 keeps memory at O((rank * bath_dim)^2).
 
-The spectral work runs on sectors of exact zeros (see :mod:`qillum.fock`):
-the beamsplitter acts per excitation sector, the received state is formed
-one block of rows sharing nonzero columns at a time, and each outcome
-probability is evaluated on its eigenvector's block only.  Fock-diagonal
-transmitters (tmsv, cat:inf, maxfock) split into the sectors
-q = a - n_b of Schmidt index a and returned-mode level n_b; a state
-whose matrices have no exact zeros is one sector.
+The spectral work runs on sectors fixed by conserved quantities (see
+:mod:`qillum.fock`): the beamsplitter acts per excitation sector
+n_s + n_b.  For a level state, whose Schmidt vector a is the Fock level
+L_a, the SLD and the received state conserve q = L_a - n_b of idler term
+a and returned-mode level n_b, so the SLD is diagonalized, the received
+state formed and each outcome probability evaluated one sector q at a
+time.  A state with general vectors (coherent, cat:<d>) is one sector.
 
 The observable and the received states are plain dense complex128
 arrays of side rank * bath_dim; a received state comes wrapped in a
@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (DensityOperator, TruncationError, annihilation,
-                   beamsplitter_unitary, eig_hermitian, sectors, thermal_weights)
+                   beamsplitter_unitary, eig_hermitian, excitation_sectors,
+                   group_indices, thermal_weights)
 from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
@@ -55,6 +56,7 @@ class ObservableSpectrum:
     eigenvalues: np.ndarray      # real, descending
     basis: np.ndarray            # orthonormal eigenvector columns
     matrix: np.ndarray           # the observable itself, kept for moment work
+    sectors: list                # (rows, eigenvector columns) of each sector
 
     @property
     def dim(self) -> int:
@@ -129,18 +131,21 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
     obs *= -2.0 / (rep.h * (1.0 + n_bath))
     obs = 0.5 * (obs + obs.conj().T)
-    lam, vec = eig_hermitian(obs)
-    return ObservableSpectrum(lam, vec, obs)
+    lam, vec, sectors = eig_hermitian(obs, [rows for rows, _ in _sectors(state, dim_bath)])
+    return ObservableSpectrum(lam, vec, obs, sectors)
 
 
-def _blocks(m: np.ndarray) -> list:
-    """(rows, cols) pairs whose blocks hold every nonzero entry of ``m``:
-    the sectors of its row-column incidence pattern.  Rows in different
-    blocks share no nonzero column."""
-    r = m.shape[0]
-    link = np.zeros((r + m.shape[1],) * 2, dtype=bool)
-    link[:r, r:] = m != 0
-    return [(s[s < r], s[s >= r] - r) for s in sectors(link)]
+def _sectors(state: SchmidtState, dim_bath: int) -> list:
+    """(rows, cols) of each sector q: rows a * dim_bath + n of the
+    (rank x returned mode) space with q = L_a - n, and columns
+    j * dim_bath + k of the (signal x bath) space with q = j - k.  A state
+    with general vectors is one sector."""
+    if state.levels is None:
+        return [(np.arange(state.rank * dim_bath), np.arange(state.d_signal * dim_bath))]
+    n = np.arange(dim_bath)
+    rows = group_indices(np.subtract.outer(state.levels, n))
+    cols = group_indices(np.subtract.outer(np.arange(state.d_signal), n))
+    return [(rows[q], cols[q]) for q in rows]
 
 
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
@@ -149,10 +154,10 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
 
     For each bath Fock level the pure component is propagated through the
     beamsplitter on the (signal, bath) factors and the signal is traced
-    out on the fly.  U acts per sector of its nonzero pattern, and the
-    state is formed one block of rows sharing nonzero columns at a time,
-    so entries between blocks are exact zeros.  The total trace deficit
-    combines the transmitter's truncation with the thermal tail.
+    out on the fly.  U acts per excitation sector and the state is formed
+    one sector q at a time (see :func:`_sectors`), so entries between
+    sectors are exact zeros.  The total trace deficit combines the
+    transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal
     r = state.rank
@@ -163,13 +168,12 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     x = np.zeros((d_s * dim_bath, r * dim_bath), dtype=np.complex128)
     for n in range(dim_bath):
         x[n::dim_bath, n::dim_bath] = w * np.sqrt(rho_w[n])
-    y = np.zeros_like(x)
-    for idx in sectors(u):
-        y[idx] = u[np.ix_(idx, idx)] @ x[idx]
-    y = y.reshape(d_s, dim_bath, r, dim_bath)
-    z = y.transpose(2, 1, 0, 3).reshape(r * dim_bath, d_s * dim_bath)
+    for idx in excitation_sectors(d_s, dim_bath).values():
+        x[idx] = u[np.ix_(idx, idx)] @ x[idx]   # in place: the sectors are disjoint
+    z = x.reshape(d_s, dim_bath, r, dim_bath).transpose(2, 1, 0, 3)
+    z = z.reshape(r * dim_bath, d_s * dim_bath)
     rho = np.zeros((r * dim_bath, r * dim_bath), dtype=np.complex128)
-    for rows, cols in _blocks(z):
+    for rows, cols in _sectors(state, dim_bath):
         zb = z[np.ix_(rows, cols)]
         block = zb @ zb.conj().T
         rho[np.ix_(rows, rows)] = 0.5 * (block + block.conj().T)
@@ -210,7 +214,7 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
     if rho.data.shape[0] != obs.dim:
         raise ValueError("state and observable dimensions differ")
     probs = np.empty(obs.dim)
-    for rows, cols in _blocks(obs.basis):
+    for rows, cols in obs.sectors:
         basis = obs.basis[np.ix_(rows, cols)]
         tmp = rho.data[np.ix_(rows, rows)] @ basis
         probs[cols] = np.real(np.einsum("ij,ij->j", basis.conj(), tmp))

@@ -4,12 +4,11 @@ diagonalized sector by sector.
 Operators are plain dense complex128 numpy arrays.  The one wrapper is
 :class:`DensityOperator`, which keeps a received state's matrix next to
 its trace deficit and checks that the matrix is square and Hermitian.
-Spectral work runs on sectors: the connected components of a matrix's
-exact nonzero pattern (:func:`sectors`).  Entries between two sectors
-are exactly zero, so each sector is diagonalized or exponentiated on its
-own.  The beamsplitter generator splits by the excitation number
-n_s + n_b; a matrix without exact zeros is a single sector and is handled
-as one dense block.
+Spectral work runs on sectors that a conserved quantity fixes in closed
+form (:func:`group_indices` groups joint indices by its value).  Entries
+between two sectors are exactly zero, so each is diagonalized or
+exponentiated on its own.  The beamsplitter conserves the excitation
+number n_s + n_b; :func:`eig_hermitian` takes its sectors from the caller.
 
 Multimode objects follow one global factor-ordering convention: whenever
 idler, signal, and bath modes appear together the factors are ordered
@@ -93,45 +92,28 @@ def thermal_weights(n_bath: float, dim: int) -> np.ndarray:
     return ratio ** np.arange(dim) / (1.0 + n_bath)
 
 
-def sectors(matrix: np.ndarray) -> list:
-    """Connected components of the exact nonzero pattern of a square matrix.
-
-    Indices i and j share a sector when a chain of nonzero entries, in
-    either triangle, links them, so every entry between two sectors is
-    exactly zero.  Each sector is an ascending index array; sectors are
-    ordered by their smallest index.  A matrix without exact zeros is one
-    sector.
-    """
-    link = np.asarray(matrix) != 0
-    link |= link.T
-    unseen = np.ones(link.shape[0], dtype=bool)
-    out = []
-    while unseen.any():
-        frontier = np.array([np.argmax(unseen)])
-        members = []
-        while frontier.size:
-            unseen[frontier] = False
-            members.append(frontier)
-            frontier = np.flatnonzero(link[frontier].any(axis=0) & unseen)
-        out.append(np.sort(np.concatenate(members)))
-    return out
+def group_indices(keys) -> dict:
+    """Indices grouped by an integer key: {key: ascending index array},
+    in ascending key order."""
+    keys = np.asarray(keys).ravel()
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    return {int(keys[g[0]]): g for g in groups}
 
 
-def _sector_eigh(matrix: np.ndarray):
-    """(indices, ascending eigenvalues, eigenvector columns) of each sector
-    of a Hermitian matrix, diagonalized on its own."""
-    for idx in sectors(matrix):
-        lam, vec = np.linalg.eigh(matrix[np.ix_(idx, idx)])
-        yield idx, lam, vec
+def excitation_sectors(dim_signal: int, dim_bath: int) -> dict:
+    """Joint (signal, bath) indices i * dim_bath + j grouped by the
+    excitation number N = i + j that the beamsplitter conserves."""
+    return group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath)))
 
 
 def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarray:
     """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath mode.
 
-    The generator conserves the excitation number n_s + n_b, so it is
-    exactly block-diagonal in it.  Each excitation sector is exponentiated
-    on its own through the eigendecomposition of its Hermitian block,
-    which makes the result unitary on the truncated joint space up to
+    The generator conserves the excitation number n_s + n_b, so each of
+    the :func:`excitation_sectors` is a tridiagonal chain, exponentiated
+    on its own through the eigendecomposition of its Hermitian block.
+    That makes the result unitary on the truncated joint space up to
     eigensolver accuracy and exactly zero between sectors.  Rows in
     incomplete sectors (n_s + n_b >= min(dim_signal, dim_bath)) remain
     unitary but no longer represent the physical beamsplitter; keep those
@@ -140,30 +122,35 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarr
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
-    # s'b - sb' is real and antisymmetric: K - K^T with K = s^T (x) b
-    k = np.kron(annihilation(dim_signal).real.T, annihilation(dim_bath).real)
-    gen = 1j * (k - k.T)
-    u = np.zeros_like(gen)
-    for idx, lam, vec in _sector_eigh(gen):
+    u = np.zeros((dim_signal * dim_bath,) * 2, dtype=np.complex128)
+    for idx in excitation_sectors(dim_signal, dim_bath).values():
+        i, j = np.divmod(idx[1:], dim_bath)
+        # s'b - sb' is real and antisymmetric: <i,j|s'b|i-1,j+1> = sqrt(i (j+1))
+        link = np.sqrt(i) * np.sqrt(j + 1)
+        k = np.diag(link, -1) - np.diag(link, 1)
+        lam, vec = np.linalg.eigh(1j * k)
         # 1 + V (e^{-i theta lam} - 1) V': the identity stays exact at eta = 0
         u[np.ix_(idx, idx)] = (np.eye(len(idx))
                                + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T)
     return u
 
 
-def eig_hermitian(matrix: np.ndarray):
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    Hermitian matrix; a non-Hermitian one raises ValueError.
+def eig_hermitian(matrix: np.ndarray, sectors=None):
+    """Eigenvalues (descending), orthonormal eigenvector columns and the
+    (rows, columns) of each sector of a Hermitian matrix; a non-Hermitian
+    one raises ValueError.
 
-    Each sector of the matrix's exact nonzero pattern is diagonalized on
-    its own, so every eigenvector is supported on one sector.
+    ``sectors`` are disjoint index arrays covering the matrix with zeros
+    between them (default: one sector); each is diagonalized on its own.
     """
     matrix = _hermitian(matrix)
     dim = matrix.shape[0]
+    if sectors is None:
+        sectors = [np.arange(dim)]
     lam = np.empty(dim)
     vec = np.zeros((dim, dim), dtype=np.complex128)
-    for idx, lam_s, vec_s in _sector_eigh(matrix):
-        lam[idx] = lam_s
-        vec[np.ix_(idx, idx)] = vec_s
+    for idx in sectors:
+        lam[idx], vec[np.ix_(idx, idx)] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
     order = np.argsort(lam, kind="stable")[::-1]
-    return lam[order], vec[:, order]
+    column = np.argsort(order)
+    return lam[order], vec[:, order], [(idx, np.sort(column[idx])) for idx in sectors]

@@ -23,6 +23,7 @@ from .fock import DimensionError, thermal_weights
 from .states import SchmidtState, cat_idler_eigenvalues
 
 DENOM_GUARD = 1e-14
+MAX_CUTOFF = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
@@ -195,7 +196,7 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
     return 2.0 * n_signal / d ** 4 * total
 
 
-def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = 1 << 15,
+def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF,
                     start: int = 16):
     """Double a cutoff until successive values of ``f`` agree to ``rel_tol``.
 

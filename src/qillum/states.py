@@ -147,11 +147,10 @@ def tmsv(n_signal: float, d_signal: int) -> SchmidtState:
 
 def coherent_amplitudes(alpha: complex, d_signal: int) -> np.ndarray:
     """Truncated Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!)."""
-    amps = np.empty(d_signal, dtype=np.complex128)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, d_signal):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    return amps
+    factors = np.empty(d_signal, dtype=np.complex128)
+    factors[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    factors[1:] = alpha / np.sqrt(np.arange(1, d_signal))
+    return np.cumprod(factors)
 
 
 def coherent(n_signal: float, phase: float, d_signal: int) -> SchmidtState:

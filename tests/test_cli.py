@@ -271,6 +271,20 @@ def test_bright_tmsv_nonconvergence_exits_3_quickly(capsys):
     assert payload["H"] == pytest.approx(exact, rel=1e-9)
 
 
+def test_bright_tmsv_default_cutoff_has_one_cap(capsys):
+    # the 1e-12 tail rule asks for cutoff 27647 at N_S = 1000, below the
+    # 32768 cap of converge_cutoff, and for more than the cap at N_S = 2000
+    import qillum.cli as cli
+
+    assert cli.main(["qfi", "--family", "tmsv", "--ns", "1000", "--nb", "50"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cutoff"] == 27647
+    exact = 4 * 1000 / 51 / (1 + (1000 / 1001) * (50 / 51))
+    assert payload["H"] == pytest.approx(exact, rel=1e-8)
+    assert cli.main(["qfi", "--family", "tmsv", "--ns", "2000", "--nb", "50"]) == 3
+    assert "cap 32768" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_3(monkeypatch):
     import qillum.cli as cli
     from qillum.qfi import ConvergenceError

@@ -20,7 +20,7 @@ def sld_from_eigensum(rho0, drho, pair_floor=1e-12):
     """Oracle SLD from the spectral definition
     L = 2 sum_{mn} <m|drho|n> / (lam_m + lam_n) |m><n|, restricted to the
     eigenvalue-pair support above ``pair_floor``."""
-    lam, vec = eig_hermitian(rho0.data)
+    lam, vec, _ = eig_hermitian(rho0.data)
     m = vec.conj().T @ drho @ vec
     pair = lam[:, None] + lam[None, :]
     coef = np.zeros_like(m)
@@ -145,7 +145,7 @@ def test_sld_two_route_agreement(tmsv_setup):
     # mixing between near-degenerate tail levels amplifies roundoff
     state, rep, obs, rho0 = tmsv_setup
     drho = eta_derivative(state, NB, DIM_BATH)
-    lam, vec = eig_hermitian(rho0.data)
+    lam, vec, _ = eig_hermitian(rho0.data)
     m = vec.conj().T @ drho @ vec
     pair = lam[:, None] + lam[None, :]
     mask = pair > 1e-6

@@ -112,12 +112,12 @@ def test_operators_are_complex128_arrays():
 
 
 def test_eig_descending_diag():
-    lam, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
+    lam, _, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(lam, [3.0, 2.0, 1.0])
 
 
 def test_eig_pauli_x():
-    lam, vec = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    lam, vec, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(lam, [1.0, -1.0])
     assert np.allclose(np.abs(vec), 1 / np.sqrt(2))
 
@@ -126,7 +126,7 @@ def test_eig_reconstruction_random():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     h = 0.5 * (x + x.conj().T)
-    lam, vec = eig_hermitian(h)
+    lam, vec, _ = eig_hermitian(h)
     recon = (vec * lam) @ vec.conj().T
     assert np.abs(recon - h).max() < 1e-9
     assert np.abs(vec.conj().T @ vec - np.eye(20)).max() < 1e-10

@@ -1,10 +1,11 @@
 """Sector-wise spectral route against dense oracles built here.
 
 The beamsplitter, the SLD spectrum, the received state and the outcome
-distribution are computed block by block over the exact nonzero pattern
-of their matrices.  These tests rebuild each of them densely, with
-``scipy.linalg.expm`` and ``np.linalg.eigh`` on the full matrices, and
-require the two routes to agree.
+distribution are computed block by block over sectors of conserved
+quantities: the excitation number n_s + n_b, and q = L_a - n_b for a
+state whose Schmidt vectors are Fock levels L_a.  These tests rebuild
+each of them densely, with ``scipy.linalg.expm`` and ``np.linalg.eigh``
+on the full matrices, and require the two routes to agree.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qillum.estimator import outcome_distribution, received_state, sld_observable
-from qillum.fock import annihilation, beamsplitter_unitary, sectors, thermal_weights
-from qillum.states import state_from_family
+from qillum.fock import annihilation, beamsplitter_unitary, thermal_weights
+from qillum.states import SchmidtState, state_from_family
 
 
 def dense_beamsplitter(eta, dim_signal, dim_bath):
@@ -61,29 +62,23 @@ def assert_same_distribution(values, probs, ref_values, ref_probs):
         assert abs(moment - ref) <= 1e-12 * (ref_probs @ np.abs(ref_values) ** k)
 
 
-def test_sectors_of_permuted_blocks():
-    rng = np.random.default_rng(3)
-    blocks = [rng.normal(size=(k, k)) for k in (3, 1, 4)]
-    dense = np.zeros((8, 8))
-    dense[:3, :3], dense[3:4, 3:4], dense[4:, 4:] = blocks
-    perm = rng.permutation(8)
-    permuted = dense[np.ix_(perm, perm)]
-    found = sorted(sorted(perm[s].tolist()) for s in sectors(permuted))
-    assert found == [[0, 1, 2], [3], [4, 5, 6, 7]]
-    assert all(np.all(np.diff(s) > 0) for s in sectors(permuted))
-    assert [s.tolist() for s in sectors(np.ones((5, 5)))] == [list(range(5))]
-    # one-sided entries link their indices too
-    assert len(sectors(np.triu(np.ones((4, 4))))) == 1
-
-
 def test_beamsplitter_matches_dense_expm():
     for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9)):
         u = beamsplitter_unitary(eta, d_s, d_b)
         assert np.abs(u - dense_beamsplitter(eta, d_s, d_b)).max() < 1e-12
 
 
+def gapped_level_state(n_signal, d_signal):
+    """Level state on the Fock levels 0, 1, 3, 4: a sector q then holds
+    two chains that no SLD or beamsplitter entry couples."""
+    levels = np.array([0, 1, 3, 4])
+    probs = thermal_weights(n_signal, 5)[levels]
+    probs /= probs.sum()
+    return SchmidtState(probs, None, d_signal, 0.0, {"family": "gapped"}, levels=levels)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(family=st.sampled_from(["tmsv", "cat:inf", "maxfock", "coherent", "cat:2"]),
+@given(family=st.sampled_from(["tmsv", "cat:inf", "maxfock", "coherent", "cat:2", "gapped"]),
        n_signal=st.floats(0.05, 2.0),
        n_bath=st.floats(0.1, 3.0),
        eta=st.floats(0.01, 0.3),
@@ -92,8 +87,11 @@ def test_beamsplitter_matches_dense_expm():
        order=st.integers(2, 4))
 def test_outcome_distributions_match_dense_route(family, n_signal, n_bath, eta,
                                                  d_signal, dim_bath, order):
-    label = f"maxfock:{order}" if family == "maxfock" else family
-    state = state_from_family(label, n_signal, d_signal)
+    if family == "gapped":
+        state = gapped_level_state(n_signal, d_signal)
+    else:
+        label = f"maxfock:{order}" if family == "maxfock" else family
+        state = state_from_family(label, n_signal, d_signal)
     obs = sld_observable(state, n_bath, dim_bath)
     for reflectivity in (0.0, eta):
         rho = received_state(state, n_bath, reflectivity, dim_bath)

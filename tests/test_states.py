@@ -59,6 +59,21 @@ def test_coherent_is_lowering_eigenvector():
     assert abs(m - alpha) < 1e-12
 
 
+def test_coherent_amplitudes_match_recurrence():
+    # reference: the level-by-level recurrence a_n = a_{n-1} alpha / sqrt(n);
+    # the vectorized product rounds in another order, so each level may
+    # differ by a few ulps per factor
+    eps = np.finfo(float).eps
+    for alpha in (0.0, 0.3, 1.0 + 0.5j, 3.0 * np.exp(2.1j), 5.5):
+        dim = 512
+        ref = np.empty(dim, dtype=complex)
+        ref[0] = np.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, dim):
+            ref[n] = ref[n - 1] * alpha / np.sqrt(n)
+        tol = 4 * eps * np.arange(1, dim + 1) * np.abs(ref) + 1e-300
+        assert np.all(np.abs(coherent_amplitudes(alpha, dim) - ref) <= tol)
+
+
 def test_coherent_truncated_norm_is_poisson_cdf():
     st = coherent(1.0, 0.0, 6)
     norm2 = float(np.sum(np.abs(st.vectors[:, 0]) ** 2))
