@@ -8,8 +8,8 @@ Subcommands
 
 Outputs are data only (CSV or JSON, never images).  Every command is
 deterministic given its flags and seed; CSV files start with a schema
-comment line.  Exit codes: 0 ok, 2 usage or invalid parameters,
-3 non-convergence, 4 unresolved statistics.
+comment line.  Exit codes: 0 ok, 1 a failed ``validate`` check, 2 usage
+or invalid parameters, 3 non-convergence, 4 unresolved statistics.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ def _parse_grid(spec: str):
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 phase: float, rel_tol: float | None = None) -> QfiReport:
     name, order = parse_family(family)
+    if not all(map(math.isfinite, (n_signal, n_bath, phase))):
+        raise ValueError(f"N_S, N_B and phase must be finite, got {n_signal}, {n_bath}, {phase}")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if rel_tol is not None and name != "maxfock":

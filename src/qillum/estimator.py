@@ -9,29 +9,18 @@ reflectivity, which makes the detection threshold scale well defined.
 
 Received states are computed without materializing the tripartite
 (idler, signal, bath) density matrix: the bath is expanded over its Fock
-levels and each pure component is pushed through the beamsplitter, which
-keeps memory at O((rank * bath_dim)^2).
+levels and each pure component is pushed through the beamsplitter.
 
-The spectral work runs on sectors fixed by conserved quantities (see
-:mod:`qillum.fock`): the beamsplitter acts per excitation sector
-n_s + n_b.  For a level state, whose Schmidt vector a is the Fock level
-L_a, the SLD and the received state conserve q = L_a - n_b of idler term
-a and returned-mode level n_b, so the SLD is diagonalized, the received
-state formed and each outcome probability evaluated one sector q at a
-time.  A state with general vectors (coherent, cat:<d>) is one sector.
-
-The observable and the received states are plain dense complex128
-arrays of side rank * bath_dim; a received state comes wrapped in a
+The observable and the received states are block lists (see
+:mod:`qillum.fock`) over sectors fixed by conserved quantities.  For a
+level state, whose Schmidt vector a is the Fock level L_a, the SLD and
+the received state conserve q = L_a - n_b of idler term a and
+returned-mode level n_b, so each is built, diagonalized and measured one
+sector q at a time.  A state with general vectors (coherent, cat:<d>) is
+one sector.  A received state comes wrapped in a
 :class:`~qillum.fock.DensityOperator` that carries its trace deficit.
 The SLD is the only observable built here: the quadrature and ab + a'b'
 forms it reduces to for coherent and tmsv transmitters are test oracles.
-
-Desk-scale note: because those matrices are dense, full received-state
-construction is intended for modest bath occupation (a few photons), with
-the bath cutoff chosen so the thermal tail is negligible.  Bright-bath
-statements are validated through the closed-form information quantities
-instead; a bright thermal tail makes explicit density matrices infeasible
-at desk scale.
 """
 
 from __future__ import annotations
@@ -43,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (DensityOperator, TruncationError, annihilation,
-                   beamsplitter_unitary, eig_hermitian, excitation_sectors,
-                   group_indices, thermal_weights)
+                   beamsplitter_unitary, eig_hermitian, group_indices,
+                   thermal_weights)
 from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
@@ -54,13 +43,12 @@ class ObservableSpectrum:
     """Spectral form of the optimal observable built by :func:`sld_observable`."""
 
     eigenvalues: np.ndarray      # real, descending
-    basis: np.ndarray            # orthonormal eigenvector columns
-    matrix: np.ndarray           # the observable itself, kept for moment work
-    sectors: list                # (rows, eigenvector columns) of each sector
+    eigenvectors: list           # (rows, columns, positions) per block, see eig_hermitian
+    blocks: list                 # the observable itself as (rows, block) pairs
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.eigenvalues)
 
 
 @dataclass
@@ -128,11 +116,16 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
     c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
     b = annihilation(dim_bath)
-    obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
-    obs *= -2.0 / (rep.h * (1.0 + n_bath))
-    obs = 0.5 * (obs + obs.conj().T)
-    lam, vec, sectors = eig_hermitian(obs, [rows for rows, _ in _sectors(state, dim_bath)])
-    return ObservableSpectrum(lam, vec, obs, sectors)
+    scale = -2.0 / (rep.h * (1.0 + n_bath))
+    blocks = []
+    for rows, _ in _sectors(state, dim_bath):
+        a, n = np.divmod(rows, dim_bath)
+        ia, jn = np.ix_(a, a), np.ix_(n, n)
+        # rows (a, n) x (a', n') of the two Kronecker products
+        x = np.conj(c)[ia] * b[jn] + c.T[ia] * b.conj().T[jn]
+        x *= scale
+        blocks.append((rows, 0.5 * (x + x.conj().T)))
+    return ObservableSpectrum(*eig_hermitian(blocks), blocks)
 
 
 def _sectors(state: SchmidtState, dim_bath: int) -> list:
@@ -155,33 +148,31 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     For each bath Fock level the pure component is propagated through the
     beamsplitter on the (signal, bath) factors and the signal is traced
     out on the fly.  U acts per excitation sector and the state is formed
-    one sector q at a time (see :func:`_sectors`), so entries between
-    sectors are exact zeros.  The total trace deficit combines the
-    transmitter's truncation with the thermal tail.
+    as one block per sector q (see :func:`_sectors`).  The total trace
+    deficit combines the transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal
     r = state.rank
     rho_w = thermal_weights(n_bath, dim_bath)
-    u = beamsplitter_unitary(eta, d_s, dim_bath)
     w = state.vectors * np.sqrt(state.probs)[None, :]
     # column (a, n) of x is w~_a (x) |n>
     x = np.zeros((d_s * dim_bath, r * dim_bath), dtype=np.complex128)
     for n in range(dim_bath):
         x[n::dim_bath, n::dim_bath] = w * np.sqrt(rho_w[n])
-    for idx in excitation_sectors(d_s, dim_bath).values():
-        x[idx] = u[np.ix_(idx, idx)] @ x[idx]   # in place: the sectors are disjoint
+    for idx, u in beamsplitter_unitary(eta, d_s, dim_bath):
+        x[idx] = u @ x[idx]   # in place: the sectors are disjoint
     z = x.reshape(d_s, dim_bath, r, dim_bath).transpose(2, 1, 0, 3)
     z = z.reshape(r * dim_bath, d_s * dim_bath)
-    rho = np.zeros((r * dim_bath, r * dim_bath), dtype=np.complex128)
+    blocks = []
     for rows, cols in _sectors(state, dim_bath):
         zb = z[np.ix_(rows, cols)]
         block = zb @ zb.conj().T
-        rho[np.ix_(rows, rows)] = 0.5 * (block + block.conj().T)
-    deficit = max(0.0, 1.0 - float(np.real(np.trace(rho))))
+        blocks.append((rows, 0.5 * (block + block.conj().T)))
+    deficit = max(0.0, 1.0 - sum(float(np.real(np.trace(b))) for _, b in blocks))
     if deficit_tol is not None and deficit > deficit_tol:
         raise TruncationError(
             f"received-state deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}")
-    return DensityOperator(rho, deficit)
+    return DensityOperator(blocks, deficit)
 
 
 def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
@@ -194,14 +185,31 @@ def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
     """
     obs = sld_observable(state, n_bath, dim_bath)
     etas = np.asarray(sorted(eta_grid), dtype=float)
-    means = []
-    for eta in etas:
-        rho = received_state(state, n_bath, eta, dim_bath)
-        means.append(float(np.real(np.trace(rho.data @ obs.matrix))))
+    means = [trace_moments(received_state(state, n_bath, eta, dim_bath).blocks, obs, 1)[0]
+             for eta in etas]
     design = np.vander(etas, 3, increasing=True)  # columns 1, eta, eta^2
     coef, *_ = np.linalg.lstsq(design, np.asarray(means), rcond=None)
     return {"intercept": float(coef[0]), "slope": float(coef[1]),
             "curvature": float(coef[2]), "etas": etas, "means": np.asarray(means)}
+
+
+def _matched(blocks, obs: ObservableSpectrum):
+    """A block list zipped with the observable's blocks on the same rows."""
+    if len(blocks) != len(obs.blocks) or not all(
+            np.array_equal(rows, own) for (rows, _), (own, _) in zip(blocks, obs.blocks)):
+        raise ValueError("operator blocks do not match the observable's")
+    return zip(blocks, obs.blocks, obs.eigenvectors)
+
+
+def trace_moments(blocks, obs: ObservableSpectrum, k_max: int) -> list:
+    """Tr(X O^k), k = 1..k_max, of a block list X, summed block by block."""
+    f = np.zeros(k_max)
+    for (_, x), (_, o), _ in _matched(blocks, obs):
+        power = np.eye(len(o), dtype=np.complex128)
+        for k in range(k_max):
+            power = power @ o
+            f[k] += np.real(np.trace(x @ power))
+    return f.tolist()
 
 
 def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
@@ -211,13 +219,9 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
     ``eta`` is carried along as a label of the reflectivity the state was
     prepared at; it does not enter the computation.
     """
-    if rho.data.shape[0] != obs.dim:
-        raise ValueError("state and observable dimensions differ")
     probs = np.empty(obs.dim)
-    for rows, cols in obs.sectors:
-        basis = obs.basis[np.ix_(rows, cols)]
-        tmp = rho.data[np.ix_(rows, rows)] @ basis
-        probs[cols] = np.real(np.einsum("ij,ij->j", basis.conj(), tmp))
+    for (_, r), _, (_, vec, pos) in _matched(rho.blocks, obs):
+        probs[pos] = np.real(np.einsum("ij,ij->j", vec.conj(), r @ vec))
     if probs.min() < -1e-10:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
     return OutcomeDistribution(obs.eigenvalues.copy(), probs, eta, rho.trace_deficit)
@@ -253,11 +257,7 @@ def moment_bound_check(state: SchmidtState, n_bath: float, k_max: int,
     rep = qfi_schmidt(state, n_bath)
     obs = sld_observable(state, n_bath, dim_bath)
     rho0 = received_state(state, n_bath, 0.0, dim_bath)
-    f = []
-    power = np.eye(obs.dim, dtype=np.complex128)
-    for _ in range(2 * k_max):
-        power = power @ obs.matrix
-        f.append(float(np.real(np.trace(rho0.data @ power))))
+    f = trace_moments(rho0.blocks, obs, 2 * k_max)
     anti = signal_antinormal_moments(state, k_max)
     c = max((anti[k - 1] / math.factorial(k)) ** (1.0 / k) for k in range(1, k_max + 1))
     ks = list(range(1, k_max + 1))

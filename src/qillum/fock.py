@@ -1,14 +1,11 @@
-"""Operator algebra on truncated bosonic Fock spaces, dense matrices
-diagonalized sector by sector.
+"""Operator algebra on truncated bosonic Fock spaces, kept as block lists.
 
-Operators are plain dense complex128 numpy arrays.  The one wrapper is
-:class:`DensityOperator`, which keeps a received state's matrix next to
-its trace deficit and checks that the matrix is square and Hermitian.
-Spectral work runs on sectors that a conserved quantity fixes in closed
-form (:func:`group_indices` groups joint indices by its value).  Entries
-between two sectors are exactly zero, so each is diagonalized or
-exponentiated on its own.  The beamsplitter conserves the excitation
-number n_s + n_b; :func:`eig_hermitian` takes its sectors from the caller.
+A block list is a list of ``(rows, block)`` pairs, one per sector of a
+conserved quantity (:func:`group_indices` groups joint indices by its
+value): ``block`` is the square complex128 matrix on the indices
+``rows``, and entries between sectors are zero and never stored.  The
+beamsplitter, received states (:class:`DensityOperator`) and the
+estimator observable (:func:`eig_hermitian`) share this one format.
 
 Multimode objects follow one global factor-ordering convention: whenever
 idler, signal, and bath modes appear together the factors are ordered
@@ -40,33 +37,39 @@ class TruncationError(RuntimeError):
     """A truncation deficit exceeds the caller-supplied tolerance."""
 
 
-def _hermitian(matrix) -> np.ndarray:
-    """``matrix`` as a contiguous complex128 array, checked to be a nonempty
-    square matrix (:class:`DimensionError`) that is Hermitian entrywise to
-    HERMITIAN_ATOL (ValueError)."""
-    m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionError(f"expected a nonempty square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev >= HERMITIAN_ATOL:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
-    return m
+def _hermitian(blocks) -> list:
+    """``blocks`` with contiguous complex128 blocks, checked to be a
+    nonempty list of nonempty square blocks with one row index per row
+    (:class:`DimensionError`), each Hermitian entrywise to HERMITIAN_ATOL
+    (ValueError)."""
+    if not blocks:
+        raise DimensionError("expected at least one block")
+    out = []
+    for rows, block in blocks:
+        m = np.ascontiguousarray(block, dtype=np.complex128)
+        if m.ndim != 2 or not 0 < len(rows) == m.shape[0] == m.shape[1]:
+            raise DimensionError(f"expected a square block on {len(rows)} rows, got {m.shape}")
+        dev = np.abs(m - m.conj().T).max()
+        if dev >= HERMITIAN_ATOL:
+            raise ValueError(f"block deviates from Hermitian by {dev:.3e}")
+        out.append((rows, m))
+    return out
 
 
 @dataclass
 class DensityOperator:
     """Hermitian positive operator with explicit truncation bookkeeping.
 
-    ``data`` is a square complex matrix, Hermitian to 1e-12, and
-    ``trace + trace_deficit = 1`` holds to 1e-9; the deficit is the
-    probability mass lost to finite cutoffs (never renormalized away).
+    ``blocks`` is a block list of square complex blocks, each Hermitian to
+    1e-12, and ``trace + trace_deficit = 1`` holds to 1e-9; the deficit is
+    the probability mass lost to finite cutoffs (never renormalized away).
     """
 
-    data: np.ndarray
+    blocks: list
     trace_deficit: float = 0.0
 
     def __post_init__(self):
-        self.data = _hermitian(self.data)
+        self.blocks = _hermitian(self.blocks)
         if self.trace_deficit < -TRACE_ATOL:
             raise ValueError(f"negative trace deficit {self.trace_deficit:.3e}")
         tr = self.trace()
@@ -76,7 +79,7 @@ class DensityOperator:
             )
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.data)))
+        return float(sum(np.real(np.trace(block)) for _, block in self.blocks))
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -101,56 +104,47 @@ def group_indices(keys) -> dict:
     return {int(keys[g[0]]): g for g in groups}
 
 
-def excitation_sectors(dim_signal: int, dim_bath: int) -> dict:
-    """Joint (signal, bath) indices i * dim_bath + j grouped by the
-    excitation number N = i + j that the beamsplitter conserves."""
-    return group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath)))
+def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> list:
+    """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath
+    mode, as the block list of its excitation sectors.
 
-
-def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarray:
-    """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath mode.
-
-    The generator conserves the excitation number n_s + n_b, so each of
-    the :func:`excitation_sectors` is a tridiagonal chain, exponentiated
-    on its own through the eigendecomposition of its Hermitian block.
-    That makes the result unitary on the truncated joint space up to
-    eigensolver accuracy and exactly zero between sectors.  Rows in
-    incomplete sectors (n_s + n_b >= min(dim_signal, dim_bath)) remain
-    unitary but no longer represent the physical beamsplitter; keep those
+    The generator conserves the excitation number N = n_s + n_b, so the
+    joint indices i * dim_bath + j with i + j = N form one block, a
+    tridiagonal chain exponentiated through the eigendecomposition of its
+    Hermitian form, unitary up to eigensolver accuracy.  Rows in
+    incomplete sectors (N >= min(dim_signal, dim_bath)) remain unitary
+    but no longer represent the physical beamsplitter; keep those
     amplitudes negligible by choosing cutoffs with headroom.
     """
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
-    u = np.zeros((dim_signal * dim_bath,) * 2, dtype=np.complex128)
-    for idx in excitation_sectors(dim_signal, dim_bath).values():
+    blocks = []
+    for idx in group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath))).values():
         i, j = np.divmod(idx[1:], dim_bath)
         # s'b - sb' is real and antisymmetric: <i,j|s'b|i-1,j+1> = sqrt(i (j+1))
         link = np.sqrt(i) * np.sqrt(j + 1)
         k = np.diag(link, -1) - np.diag(link, 1)
         lam, vec = np.linalg.eigh(1j * k)
         # 1 + V (e^{-i theta lam} - 1) V': the identity stays exact at eta = 0
-        u[np.ix_(idx, idx)] = (np.eye(len(idx))
-                               + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T)
-    return u
+        blocks.append((idx, np.eye(len(idx))
+                       + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T))
+    return blocks
 
 
-def eig_hermitian(matrix: np.ndarray, sectors=None):
-    """Eigenvalues (descending), orthonormal eigenvector columns and the
-    (rows, columns) of each sector of a Hermitian matrix; a non-Hermitian
-    one raises ValueError.
+def eig_hermitian(blocks):
+    """Spectrum of a Hermitian block list: the eigenvalues in descending
+    order, and for each block (rows, eigenvector columns, positions), where
+    column j is orthonormal on ``rows`` and its eigenvalue is
+    ``eigenvalues[positions[j]]``.  A non-Hermitian block raises ValueError.
 
-    ``sectors`` are disjoint index arrays covering the matrix with zeros
-    between them (default: one sector); each is diagonalized on its own.
+    Equal eigenvalues are ordered by descending row.
     """
-    matrix = _hermitian(matrix)
-    dim = matrix.shape[0]
-    if sectors is None:
-        sectors = [np.arange(dim)]
-    lam = np.empty(dim)
-    vec = np.zeros((dim, dim), dtype=np.complex128)
-    for idx in sectors:
-        lam[idx], vec[np.ix_(idx, idx)] = np.linalg.eigh(matrix[np.ix_(idx, idx)])
-    order = np.argsort(lam, kind="stable")[::-1]
-    column = np.argsort(order)
-    return lam[order], vec[:, order], [(idx, np.sort(column[idx])) for idx in sectors]
+    blocks = _hermitian(blocks)
+    eig = [np.linalg.eigh(block) for _, block in blocks]
+    lam = np.concatenate([w for w, _ in eig])
+    order = np.lexsort((np.concatenate([rows for rows, _ in blocks]), lam))[::-1]
+    position = np.split(np.argsort(order), np.cumsum([len(w) for w, _ in eig])[:-1])
+    # each block's columns in descending order, as in the global order
+    return lam[order], [(rows, vec[:, ::-1], pos[::-1])
+                        for (rows, _), (_, vec), pos in zip(blocks, eig, position)]

@@ -61,6 +61,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         parse_family(self.family)
+        if not all(map(math.isfinite, (self.n_signal, self.n_bath, self.eta, self.phase))):
+            raise ValueError("n_signal, n_bath, eta and phase must be finite")
         if self.n_signal < 0 or self.n_bath < 0:
             raise ValueError("mean photon numbers must be >= 0")
         if not 0.0 < self.xi < 1.0:

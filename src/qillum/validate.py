@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import (eta_derivative, mgf_empirical, mgf_radius,
                         moment_bound_check, outcome_distribution, received_state,
-                        sld_observable, unbiasedness_check)
+                        sld_observable, trace_moments, unbiasedness_check)
 from .qfi import (converge_cutoff, qfi_bounds, qfi_cat_direct,
                   qfi_gaussian_closed, qfi_schmidt)
 from .sim import (ProtocolConfig, gaussian_rate_fit, prepare_distributions,
@@ -158,9 +158,9 @@ def check_sld_identities(dim_bath: int = 40, families: str = "full") -> CheckRes
         obs = sld_observable(state, nb, dim_bath)
         rho0 = received_state(state, nb, 0.0, dim_bath)
         drho = eta_derivative(state, nb, dim_bath)
-        l_mat = rep.h * obs.matrix
-        t0 = abs(np.trace(rho0.data @ l_mat))
-        t1 = abs(np.trace(l_mat @ drho) - rep.h)
+        drho_blocks = [(rows, drho[np.ix_(rows, rows)]) for rows, _ in obs.blocks]
+        t0 = abs(rep.h * trace_moments(rho0.blocks, obs, 1)[0])
+        t1 = abs(rep.h * trace_moments(drho_blocks, obs, 1)[0] - rep.h)
         var = outcome_distribution(rho0, obs).variance()
         fit = unbiasedness_check(state, nb, dim_bath)
         fam = state.meta["family"]

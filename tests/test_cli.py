@@ -65,6 +65,15 @@ def test_qfi_invalid_params_exit_2(capsys):
     assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
                      "--cutoff", "0"]) == 2
     assert "cutoff must be >= 1" in capsys.readouterr().err
+    # non-finite photon numbers and phases are rejected at the boundary
+    for argv in (["--family", "tmsv", "--ns", "1", "--nb", "nan"],
+                 ["--family", "tmsv", "--ns", "1", "--nb", "inf"],
+                 ["--family", "coherent", "--ns", "1", "--nb", "1", "--phase", "nan"],
+                 ["--family", "coherent", "--ns", "inf", "--nb", "1"]):
+        assert cli.main(["qfi", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
+    assert cli.main(["curves", "--nb", "nan", "--ns", "0.5", "--families", "tmsv"]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_qfi_fully_pruned_state_exits_2(capsys):

@@ -1,7 +1,10 @@
 """Optimal observable construction, received states, and moment machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense import dense, dense_basis, one_block
 
 from qillum.estimator import (eta_derivative, mgf_empirical,
                               moment_bound_check, outcome_distribution,
@@ -20,7 +23,8 @@ def sld_from_eigensum(rho0, drho, pair_floor=1e-12):
     """Oracle SLD from the spectral definition
     L = 2 sum_{mn} <m|drho|n> / (lam_m + lam_n) |m><n|, restricted to the
     eigenvalue-pair support above ``pair_floor``."""
-    lam, vec, _ = eig_hermitian(rho0.data)
+    lam, vecs = eig_hermitian(rho0.blocks)
+    vec = dense_basis(vecs)
     m = vec.conj().T @ drho @ vec
     pair = lam[:, None] + lam[None, :]
     coef = np.zeros_like(m)
@@ -29,9 +33,11 @@ def sld_from_eigensum(rho0, drho, pair_floor=1e-12):
     return vec @ coef @ vec.conj().T
 
 
-def pure_state(v):
-    """The projector |v><v| as a density operator."""
-    return DensityOperator(np.outer(v, v.conj()))
+def pure_state(v, obs):
+    """The projector |v><v| as a density operator on the observable's
+    blocks, for a vector v inside one of them."""
+    return DensityOperator([(rows, np.outer(v[rows], v[rows].conj()))
+                            for rows, _ in obs.blocks])
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +60,13 @@ def test_sld_coherent_is_scaled_quadrature():
     b = annihilation(30)
     quadrature = np.exp(-1j * phase) * b + np.exp(1j * phase) * b.conj().T
     target = -quadrature / (2.0 * np.sqrt(ns))
-    assert np.abs(obs.matrix - target).max() < 1e-12
+    assert np.abs(dense(obs.blocks) - target).max() < 1e-12
 
 
 def test_sld_tmsv_pair_coupling_structure():
     state = tmsv(0.3, 20)
     obs = sld_observable(state, NB, 15)
-    o = obs.matrix.reshape(state.rank, 15, state.rank, 15)
+    o = dense(obs.blocks).reshape(state.rank, 15, state.rank, 15)
     ladder = np.zeros((15, 15), bool)
     for m in range(14):
         ladder[m, m + 1] = ladder[m + 1, m] = True
@@ -81,14 +87,14 @@ def test_sld_tmsv_is_proportional_to_gaussian_pair_form():
     obs = sld_observable(state, NB, 12)
     a, b = annihilation(state.rank), annihilation(12)
     gab = np.kron(a, b) + np.kron(a.conj().T, b.conj().T)
-    x, y = obs.matrix.ravel(), gab.ravel()
+    x, y = dense(obs.blocks).ravel(), gab.ravel()
     cos = abs(np.vdot(x, y)) / (np.linalg.norm(x) * np.linalg.norm(y))
     assert cos == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sld_cat2_low_photon_is_jaynes_cummings_like():
     obs = sld_observable(cat_state(0.01, 2, 20), NB, 15)
-    o = obs.matrix.reshape(2, 15, 2, 15)
+    o = dense(obs.blocks).reshape(2, 15, 2, 15)
     assert np.abs(o[0, :, 0, :]).max() < 1e-10
     assert np.abs(o[1, :, 1, :]).max() < 1e-10
     block = o[0, :, 1, :]
@@ -99,14 +105,15 @@ def test_sld_cat2_low_photon_is_jaynes_cummings_like():
 
 def test_sld_spectrum_reconstruction(tmsv_setup):
     _, _, obs, _ = tmsv_setup
-    recon = (obs.basis * obs.eigenvalues) @ obs.basis.conj().T
-    assert np.abs(recon - obs.matrix).max() < 1e-9
+    basis = dense_basis(obs.eigenvectors)
+    recon = (basis * obs.eigenvalues) @ basis.conj().T
+    assert np.abs(recon - dense(obs.blocks)).max() < 1e-9
 
 
 def test_received_state_zero_reflectivity_is_product(tmsv_setup):
     state, _, _, rho0 = tmsv_setup
     expected = np.kron(np.diag(state.probs), np.diag(thermal_weights(NB, DIM_BATH)))
-    assert np.abs(rho0.data - expected).max() < 1e-12
+    assert np.abs(dense(rho0.blocks) - expected).max() < 1e-12
 
 
 def test_received_state_trace_bookkeeping():
@@ -114,7 +121,7 @@ def test_received_state_trace_bookkeeping():
     rho = received_state(state, NB, 0.1, DIM_BATH)
     assert rho.trace() + rho.trace_deficit == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= rho.trace_deficit < 1e-9
-    assert np.linalg.eigvalsh(rho.data).min() >= -1e-10
+    assert np.linalg.eigvalsh(dense(rho.blocks)).min() >= -1e-10
 
 
 def test_received_state_deficit_opt_in():
@@ -125,8 +132,8 @@ def test_received_state_deficit_opt_in():
 def test_eta_derivative_matches_finite_difference():
     state = tmsv(0.3, 30)
     delta = 1e-5
-    fd = (received_state(state, NB, delta, DIM_BATH).data
-          - received_state(state, NB, 0.0, DIM_BATH).data) / delta
+    fd = (dense(received_state(state, NB, delta, DIM_BATH).blocks)
+          - dense(received_state(state, NB, 0.0, DIM_BATH).blocks)) / delta
     analytic = eta_derivative(state, NB, DIM_BATH)
     assert np.abs(fd - analytic).max() < 1e-4
 
@@ -134,8 +141,9 @@ def test_eta_derivative_matches_finite_difference():
 def test_sld_defining_equation(tmsv_setup):
     state, rep, obs, rho0 = tmsv_setup
     drho = eta_derivative(state, NB, DIM_BATH)
-    l_mat = rep.h * obs.matrix
-    resid = 0.5 * (rho0.data @ l_mat + l_mat @ rho0.data) - drho
+    l_mat = rep.h * dense(obs.blocks)
+    rho = dense(rho0.blocks)
+    resid = 0.5 * (rho @ l_mat + l_mat @ rho) - drho
     assert np.abs(resid).max() < 1e-12
 
 
@@ -145,13 +153,14 @@ def test_sld_two_route_agreement(tmsv_setup):
     # mixing between near-degenerate tail levels amplifies roundoff
     state, rep, obs, rho0 = tmsv_setup
     drho = eta_derivative(state, NB, DIM_BATH)
-    lam, vec, _ = eig_hermitian(rho0.data)
+    lam, vecs = eig_hermitian(rho0.blocks)
+    vec = dense_basis(vecs)
     m = vec.conj().T @ drho @ vec
     pair = lam[:, None] + lam[None, :]
     mask = pair > 1e-6
     l_def = np.zeros_like(m)
     l_def[mask] = 2.0 * m[mask] / pair[mask]
-    l_cf = vec.conj().T @ (rep.h * obs.matrix) @ vec
+    l_cf = vec.conj().T @ (rep.h * dense(obs.blocks)) @ vec
     assert np.abs(l_cf - l_def)[mask].max() < 1e-8
 
 
@@ -164,7 +173,7 @@ def test_sld_from_eigensum_helper(tmsv_setup):
 
 def test_outcome_point_mass(tmsv_setup):
     _, _, obs, _ = tmsv_setup
-    dist = outcome_distribution(pure_state(obs.basis[:, 3]), obs)
+    dist = outcome_distribution(pure_state(dense_basis(obs.eigenvectors)[:, 3], obs), obs)
     assert dist.probabilities[3] == pytest.approx(1.0, abs=1e-10)
     assert dist.mean() == pytest.approx(obs.eigenvalues[3], abs=1e-9)
 
@@ -173,12 +182,21 @@ def test_outcome_mean_is_trace_identity(tmsv_setup):
     state, _, obs, _ = tmsv_setup
     rho = received_state(state, NB, 0.05, DIM_BATH)
     dist = outcome_distribution(rho, obs, eta=0.05)
-    assert dist.mean() == pytest.approx(
-        float(np.real(np.trace(rho.data @ obs.matrix))), abs=1e-10)
+    r, o = dense(rho.blocks), dense(obs.blocks)
+    assert dist.mean() == pytest.approx(float(np.real(np.trace(r @ o))), abs=1e-10)
     assert dist.variance() == pytest.approx(
-        float(np.real(np.trace(rho.data @ obs.matrix @ obs.matrix))) - dist.mean() ** 2,
-        abs=1e-10)
+        float(np.real(np.trace(r @ o @ o))) - dist.mean() ** 2, abs=1e-10)
     assert dist.eta == 0.05
+
+
+def test_outcome_distribution_rejects_mismatched_blocks(tmsv_setup):
+    state, _, obs, rho0 = tmsv_setup
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_distribution(received_state(state, NB, 0.0, DIM_BATH - 1), obs)
+    # one block of the observable's dimension, but not on its blocks
+    whole = DensityOperator(one_block(dense(rho0.blocks)), rho0.trace_deficit)
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_distribution(whole, obs)
 
 
 def test_outcome_zero_reflectivity_moments(tmsv_setup):
@@ -218,8 +236,8 @@ def test_distribution_moments_equal_trace_route(tmsv_setup):
     dist = outcome_distribution(rho0, obs)
     power = np.eye(obs.dim, dtype=np.complex128)
     for k in range(1, 5):
-        power = power @ obs.matrix
-        trace_moment = float(np.real(np.trace(rho0.data @ power)))
+        power = power @ dense(obs.blocks)
+        trace_moment = float(np.real(np.trace(dense(rho0.blocks) @ power)))
         dist_moment = float(np.dot(dist.probabilities, dist.values ** k))
         assert abs(trace_moment - dist_moment) < 1e-9
 
@@ -228,7 +246,7 @@ def test_mgf_point_mass_and_origin(tmsv_setup):
     _, _, obs, rho0 = tmsv_setup
     dist = outcome_distribution(rho0, obs)
     assert mgf_empirical(dist, [0.0])[0] == pytest.approx(1.0, abs=1e-9)
-    point = outcome_distribution(pure_state(obs.basis[:, 0]), obs)
+    point = outcome_distribution(pure_state(dense_basis(obs.eigenvectors)[:, 0], obs), obs)
     vals = mgf_empirical(point, [0.0, 0.5, 2.0])
     assert np.allclose(vals, 1.0, atol=1e-9)
 
@@ -238,3 +256,23 @@ def test_mgf_warns_outside_interval(tmsv_setup):
     dist = outcome_distribution(rho0, obs)
     with pytest.warns(RuntimeWarning):
         mgf_empirical(dist, [10.0], t_max=1.0)
+
+
+def test_spectral_preparation_allocates_no_dense_matrix():
+    """The SLD spectrum and the outcome distribution at N_B = 3, on
+    23 x 67 = 1541 joint dimensions, peak below one dense 1541^2 complex
+    matrix.  The received state is built before tracing starts, because
+    received_state still fills a dense (signal x bath) x (rank x bath)
+    buffer."""
+    state = tmsv(0.5, 23)
+    rho = received_state(state, 3.0, 0.1, 67)
+    tracemalloc.start()
+    try:
+        obs = sld_observable(state, 3.0, 67)
+        dist = outcome_distribution(rho, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obs.dim == 1541
+    assert peak < 16 * 1541 ** 2
+    assert dist.probabilities.sum() + dist.deficit == pytest.approx(1.0, abs=1e-10)

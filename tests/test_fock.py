@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense import dense, dense_basis, one_block
 
 from qillum.fock import (DensityOperator, DimensionError, annihilation,
                          beamsplitter_unitary, eig_hermitian, thermal_weights)
@@ -70,13 +71,13 @@ def test_thermal_ratio_exact():
 
 
 def test_beamsplitter_zero_is_identity():
-    u = beamsplitter_unitary(0.0, 6, 6)
+    u = dense(beamsplitter_unitary(0.0, 6, 6))
     assert np.abs(u - np.eye(36)).max() < 1e-13
 
 
 def test_beamsplitter_full_reflection_swaps():
     d = 5
-    u = beamsplitter_unitary(1.0, d, d)
+    u = dense(beamsplitter_unitary(1.0, d, d))
     vec = np.zeros(d * d)
     vec[1 * d + 0] = 1.0  # |1, 0>
     out = u @ vec
@@ -91,13 +92,13 @@ def test_beamsplitter_unitarity():
     # exact exponential through the eigendecomposition keeps even the
     # boundary rows unitary; physical fidelity (not unitarity) is what
     # degrades in incomplete total-excitation sectors
-    u = beamsplitter_unitary(0.01, 12, 12)
+    u = dense(beamsplitter_unitary(0.01, 12, 12))
     assert np.abs(u.conj().T @ u - np.eye(144)).max() < 1e-10
 
 
 def test_beamsplitter_inverse_pair():
-    u = beamsplitter_unitary(0.3, 10, 10)
-    v = beamsplitter_unitary(-0.3, 10, 10)
+    u = dense(beamsplitter_unitary(0.3, 10, 10))
+    v = dense(beamsplitter_unitary(-0.3, 10, 10))
     assert np.abs(u @ v - np.eye(100)).max() < 1e-9
 
 
@@ -108,16 +109,17 @@ def test_beamsplitter_rejects_bad_reflectivity():
 
 def test_operators_are_complex128_arrays():
     assert annihilation(5).dtype == np.complex128
-    assert beamsplitter_unitary(0.2, 4, 3).dtype == np.complex128
+    assert all(u.dtype == np.complex128 for _, u in beamsplitter_unitary(0.2, 4, 3))
 
 
 def test_eig_descending_diag():
-    lam, _, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
+    lam, _ = eig_hermitian(one_block(np.diag([3.0, 1.0, 2.0])))
     assert np.array_equal(lam, [3.0, 2.0, 1.0])
 
 
 def test_eig_pauli_x():
-    lam, vec, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    lam, vecs = eig_hermitian(one_block(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    vec = dense_basis(vecs)
     assert np.allclose(lam, [1.0, -1.0])
     assert np.allclose(np.abs(vec), 1 / np.sqrt(2))
 
@@ -126,7 +128,8 @@ def test_eig_reconstruction_random():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     h = 0.5 * (x + x.conj().T)
-    lam, vec, _ = eig_hermitian(h)
+    lam, vecs = eig_hermitian(one_block(h))
+    vec = dense_basis(vecs)
     recon = (vec * lam) @ vec.conj().T
     assert np.abs(recon - h).max() < 1e-9
     assert np.abs(vec.conj().T @ vec - np.eye(20)).max() < 1e-10
@@ -135,40 +138,44 @@ def test_eig_reconstruction_random():
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eig_hermitian(one_block(np.array([[0.0, 1.0], [0.0, 0.0]])))
     # a deviation at the 1e-12 tolerance is rejected too
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
+        eig_hermitian(one_block(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])))
 
 
 def test_density_operator_rejects_non_square():
     with pytest.raises(DimensionError):
-        DensityOperator(np.eye(4)[:3] / 3.0)
+        DensityOperator(one_block(np.eye(4)[:3] / 3.0))
     with pytest.raises(DimensionError):
-        DensityOperator(np.ones(3) / 3.0)
+        DensityOperator(one_block(np.ones(3) / 3.0))
     with pytest.raises(DimensionError):
-        DensityOperator(np.zeros((0, 0)), 1.0)
+        DensityOperator(one_block(np.zeros((0, 0))), 1.0)
+    with pytest.raises(DimensionError):
+        DensityOperator([], 1.0)
+    with pytest.raises(DimensionError):
+        DensityOperator([(np.arange(3), np.eye(2) / 2.0)])
 
 
 def test_density_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))
+        DensityOperator(one_block(np.array([[0.5, 0.1], [0.0, 0.5]])))
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityOperator(np.array([[0.5, 1e-12], [0.0, 0.5]]))
+        DensityOperator(one_block(np.array([[0.5, 1e-12], [0.0, 0.5]])))
 
 
 def test_density_operator_rejects_trace_mismatch():
     with pytest.raises(ValueError, match="is not 1"):
-        DensityOperator(np.diag([0.5, 0.4]))
+        DensityOperator(one_block(np.diag([0.5, 0.4])))
     with pytest.raises(ValueError, match="is not 1"):
-        DensityOperator(np.diag([0.5, 0.4]), 0.2)
+        DensityOperator(one_block(np.diag([0.5, 0.4])), 0.2)
     with pytest.raises(ValueError, match="negative trace deficit"):
-        DensityOperator(np.diag([0.6, 0.5]), -0.1)
+        DensityOperator(one_block(np.diag([0.6, 0.5])), -0.1)
 
 
 def test_density_operator_invariants():
     w = thermal_weights(0.8, 30)
-    rho = DensityOperator(np.diag(w), (0.8 / 1.8) ** 30)
-    assert rho.data.dtype == np.complex128
-    assert np.linalg.eigvalsh(rho.data).min() >= -1e-10
+    rho = DensityOperator(one_block(np.diag(w)), (0.8 / 1.8) ** 30)
+    assert rho.blocks[0][1].dtype == np.complex128
+    assert np.linalg.eigvalsh(dense(rho.blocks)).min() >= -1e-10
     assert rho.trace() + rho.trace_deficit == pytest.approx(1.0, abs=1e-12)

@@ -1,19 +1,23 @@
-"""Sector-wise spectral route against dense oracles built here.
+"""Block-list spectral route against dense oracles built here.
 
 The beamsplitter, the SLD spectrum, the received state and the outcome
-distribution are computed block by block over sectors of conserved
-quantities: the excitation number n_s + n_b, and q = L_a - n_b for a
-state whose Schmidt vectors are Fock levels L_a.  These tests rebuild
-each of them densely, with ``scipy.linalg.expm`` and ``np.linalg.eigh``
-on the full matrices, and require the two routes to agree.
+distribution are block lists over sectors of conserved quantities: the
+excitation number n_s + n_b, and q = L_a - n_b for a state whose Schmidt
+vectors are Fock levels L_a.  These tests rebuild each of them densely,
+with full Kronecker products, ``scipy.linalg.expm`` and
+``np.linalg.eigh`` on the full matrices, and require the two routes to
+agree.  They also check that the dense oracles vanish outside the
+blocks, which the block lists leave out.
 """
 
 import numpy as np
+from dense import dense
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from qillum.estimator import outcome_distribution, received_state, sld_observable
 from qillum.fock import annihilation, beamsplitter_unitary, thermal_weights
+from qillum.qfi import qfi_schmidt, signal_lowering_matrix
 from qillum.states import SchmidtState, state_from_family
 
 
@@ -40,6 +44,16 @@ def dense_received(state, n_bath, eta, dim_bath):
     return rho.reshape(r * dim_bath, r * dim_bath)
 
 
+def dense_sld(state, n_bath, dim_bath):
+    """The closed-form SLD divided by H, as two full Kronecker products."""
+    p = state.probs
+    q = n_bath / (1.0 + n_bath)
+    c = np.sqrt(np.outer(p, p)) * signal_lowering_matrix(state) / (p[:, None] + p[None, :] * q)
+    b = annihilation(dim_bath)
+    obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
+    return -2.0 / (qfi_schmidt(state, n_bath).h * (1.0 + n_bath)) * obs
+
+
 def dense_outcomes(rho, observable):
     lam, vec = np.linalg.eigh(observable)
     return lam, np.real(np.einsum("ij,ij->j", vec.conj(), rho @ vec))
@@ -64,7 +78,7 @@ def assert_same_distribution(values, probs, ref_values, ref_probs):
 
 def test_beamsplitter_matches_dense_expm():
     for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9)):
-        u = beamsplitter_unitary(eta, d_s, d_b)
+        u = dense(beamsplitter_unitary(eta, d_s, d_b))
         assert np.abs(u - dense_beamsplitter(eta, d_s, d_b)).max() < 1e-12
 
 
@@ -93,9 +107,15 @@ def test_outcome_distributions_match_dense_route(family, n_signal, n_bath, eta,
         label = f"maxfock:{order}" if family == "maxfock" else family
         state = state_from_family(label, n_signal, d_signal)
     obs = sld_observable(state, n_bath, dim_bath)
+    ref_obs = dense_sld(state, n_bath, dim_bath)
+    inside = np.zeros((obs.dim, obs.dim), dtype=bool)
+    for rows, _ in obs.blocks:
+        inside[np.ix_(rows, rows)] = True
+    assert np.abs(ref_obs[~inside]).max(initial=0.0) <= 1e-15
     for reflectivity in (0.0, eta):
         rho = received_state(state, n_bath, reflectivity, dim_bath)
         dist = outcome_distribution(rho, obs)
-        ref_values, ref_probs = dense_outcomes(
-            dense_received(state, n_bath, reflectivity, dim_bath), obs.matrix)
+        ref_rho = dense_received(state, n_bath, reflectivity, dim_bath)
+        assert np.abs(ref_rho[~inside]).max(initial=0.0) <= 1e-15
+        ref_values, ref_probs = dense_outcomes(ref_rho, ref_obs)
         assert_same_distribution(dist.values, dist.probabilities, ref_values, ref_probs)

@@ -89,6 +89,10 @@ def test_config_validation():
                 dict(dim_bath=1), dict(dim_bath=0)):
         with pytest.raises(ValueError, match="cutoff"):
             ProtocolConfig(**bad)
+    for bad in (dict(n_signal=math.nan), dict(n_bath=math.inf), dict(eta=math.nan),
+                dict(family="coherent", phase=math.nan), dict(phase=-math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolConfig(**bad)
     assert ProtocolConfig(eta=1.0).eta == 1.0
     assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
 
