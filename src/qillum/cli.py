@@ -167,12 +167,12 @@ def cmd_simulate(args) -> int:
     points = _simulate_points(payload, {"eta": args.eta, "m": args.m,
                                         "xi": args.xi, "trials": args.trials,
                                         "seed": args.seed})
-    if points and points[0][1].n_bath > 3:
-        sys.stderr.write("warning: bath occupation above 3 is outside the "
-                         "desk-scale regime for explicit received states\n")
     # Heavy spectral work is shared per config family/eta and runs once,
     # sequentially; only the sampling is fanned out.
     dists = prepare_distributions(points[0][1])
+    if dists.state.levels is None and points[0][1].n_bath > 3:
+        sys.stderr.write("warning: general signal vectors make one rank x bath-cutoff "
+                         "sector, outside the desk-scale regime above N_B = 3\n")
     def _one(item):
         key, cfg = item
         return key, run_protocol(cfg, dists)

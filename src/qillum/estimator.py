@@ -7,9 +7,9 @@ the idler dimension equals the Schmidt rank.  The normalization is fixed
 so that the expectation of the observable grows with unit slope in the
 reflectivity, which makes the detection threshold scale well defined.
 
-Received states are computed without materializing the tripartite
-(idler, signal, bath) density matrix: the bath is expanded over its Fock
-levels and each pure component is pushed through the beamsplitter.
+Received states are gathered block by block without any joint buffer:
+U conserves the excitation number, so each entry of the factor z with
+rho = z z' is one U element times one transmitter amplitude.
 
 The observable and the received states are block lists (see
 :mod:`qillum.fock`) over sectors fixed by conserved quantities.  For a
@@ -115,14 +115,15 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     q = n_bath / (1.0 + n_bath)
     m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
     c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
-    b = annihilation(dim_bath)
     scale = -2.0 / (rep.h * (1.0 + n_bath))
     blocks = []
     for rows, _ in _sectors(state, dim_bath):
         a, n = np.divmod(rows, dim_bath)
-        ia, jn = np.ix_(a, a), np.ix_(n, n)
-        # rows (a, n) x (a', n') of the two Kronecker products
-        x = np.conj(c)[ia] * b[jn] + c.T[ia] * b.conj().T[jn]
+        ia = np.ix_(a, a)
+        # rows (a, n) x (a', n') of the two Kronecker products, with
+        # <n|b|n'> = sqrt(n') if n' = n + 1 on this sector's own levels
+        b = np.where(n[None, :] == n[:, None] + 1, np.sqrt(n), 0.0)
+        x = np.conj(c)[ia] * b + c.T[ia] * b.T
         x *= scale
         blocks.append((rows, 0.5 * (x + x.conj().T)))
     return ObservableSpectrum(*eig_hermitian(blocks), blocks)
@@ -145,27 +146,35 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
                    deficit_tol: float | None = None) -> DensityOperator:
     """Received (idler x returned mode) state after reflection ``eta``.
 
-    For each bath Fock level the pure component is propagated through the
-    beamsplitter on the (signal, bath) factors and the signal is traced
-    out on the fly.  U acts per excitation sector and the state is formed
-    as one block per sector q (see :func:`_sectors`).  The total trace
-    deficit combines the transmitter's truncation with the thermal tail.
+    The state is z z', with z the (rank x returned mode) x (signal x bath)
+    factor of the bath-level components pushed through the beamsplitter U.
+    U conserves n_s + n_b, so z[(a, n), (j, k)] = sqrt(p_a) w_a[i]
+    sqrt(rho_k) <j, n|U|i, k> with i = j + n - k (zero outside the signal
+    cutoff).  Each sector q (see :func:`_sectors`) gathers its z_q from U's
+    excitation blocks.  The total trace deficit combines the
+    transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal
-    r = state.rank
-    rho_w = thermal_weights(n_bath, dim_bath)
+    sqrt_rho = np.sqrt(thermal_weights(n_bath, dim_bath))
     w = state.vectors * np.sqrt(state.probs)[None, :]
-    # column (a, n) of x is w~_a (x) |n>
-    x = np.zeros((d_s * dim_bath, r * dim_bath), dtype=np.complex128)
-    for n in range(dim_bath):
-        x[n::dim_bath, n::dim_bath] = w * np.sqrt(rho_w[n])
-    for idx, u in beamsplitter_unitary(eta, d_s, dim_bath):
-        x[idx] = u @ x[idx]   # in place: the sectors are disjoint
-    z = x.reshape(d_s, dim_bath, r, dim_bath).transpose(2, 1, 0, 3)
-    z = z.reshape(r * dim_bath, d_s * dim_bath)
+    # U's sector blocks padded to one width: <x|U|x'> = u[start[x] + pos[x']]
+    bs = beamsplitter_unitary(eta, d_s, dim_bath)
+    width = max(len(idx) for idx, _ in bs)
+    u = np.zeros((len(bs), width, width), dtype=np.complex128)
+    pos, start = np.empty((2, d_s * dim_bath), dtype=np.int64)
+    for s, (idx, block) in enumerate(bs):
+        u[s, :len(idx), :len(idx)] = block
+        pos[idx] = np.arange(len(idx))
+        start[idx] = (s * width + pos[idx]) * width
     blocks = []
     for rows, cols in _sectors(state, dim_bath):
-        zb = z[np.ix_(rows, cols)]
+        a, n = np.divmod(rows[:, None], dim_bath)
+        j, k = np.divmod(cols[None, :], dim_bath)
+        i = j + n - k   # the input signal level, wrapped in range and zeroed out of it
+        iw = i % d_s
+        zb = w[iw, a] * sqrt_rho[k] * u.ravel()[start[j * dim_bath + n]
+                                                + pos[iw * dim_bath + k]]
+        zb[iw != i] = 0.0
         block = zb @ zb.conj().T
         blocks.append((rows, 0.5 * (block + block.conj().T)))
     deficit = max(0.0, 1.0 - sum(float(np.real(np.trace(b))) for _, b in blocks))

@@ -203,8 +203,8 @@ def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF,
     Verifies along the way that the sequence tends monotonically (the
     direction is inferred, not assumed).  Returns (value, cutoff_used).
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     cutoff = int(start)
     prev = float(f(cutoff))
     diffs = []

@@ -74,6 +74,15 @@ def test_qfi_invalid_params_exit_2(capsys):
         assert "must be finite" in capsys.readouterr().err
     assert cli.main(["curves", "--nb", "nan", "--ns", "0.5", "--families", "tmsv"]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # a non-finite convergence tolerance would grow the cutoff forever (nan)
+    # or accept the first one (inf)
+    for rel_tol in ("nan", "inf"):
+        assert cli.main(["qfi", "--family", "coherent", "--ns", "1", "--nb", "1",
+                         "--rel-tol", rel_tol]) == 2
+        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
+                         "--rel-tol", rel_tol]) == 2
+        assert "rel_tol must be positive and finite" in capsys.readouterr().err
 
 
 def test_qfi_fully_pruned_state_exits_2(capsys):
@@ -223,6 +232,28 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
         path.write_text(json.dumps(dict(good, **{key: value})))
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_simulate_warns_only_for_one_sector_states(tmp_path, capsys):
+    """A level state reaches the bright bath N_B = 50 in q-blocks and
+    runs without the desk-scale warning; a state with general vectors is
+    one rank x bath-cutoff sector and still warns above N_B = 3."""
+    import qillum.cli as cli
+    from qillum.qfi import qfi_gaussian_closed
+
+    base = {"n_signal": 0.5, "eta": 0.1, "m": 50, "xi": 0.5, "trials": 200, "seed": 7}
+    bright = tmp_path / "bright.json"
+    bright.write_text(json.dumps(dict(base, family="tmsv", n_bath=50.0)))
+    out = tmp_path / "bright.csv"
+    assert cli.main(["simulate", "--config", str(bright), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, row = out.read_text().strip().split("\n")[1:3]
+    h = float(dict(zip(header.split(","), row.split(",")))["H"])
+    assert h == pytest.approx(qfi_gaussian_closed(0.5, 50.0), rel=1e-8)
+    general = tmp_path / "general.json"
+    general.write_text(json.dumps(dict(base, family="coherent", n_bath=4.0)))
+    cli.main(["simulate", "--config", str(general), "--out", str(tmp_path / "general.csv")])
+    assert "general signal vectors" in capsys.readouterr().err
 
 
 def test_simulate_cli_overrides(tmp_path, sim_config):

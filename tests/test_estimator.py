@@ -9,7 +9,7 @@ from dense import dense, dense_basis, one_block
 from qillum.estimator import (eta_derivative, mgf_empirical,
                               moment_bound_check, outcome_distribution,
                               received_state, signal_antinormal_moments,
-                              sld_observable)
+                              sld_observable, unbiasedness_check)
 from qillum.fock import (DensityOperator, TruncationError, annihilation,
                          eig_hermitian, thermal_weights)
 from qillum.qfi import qfi_schmidt
@@ -259,15 +259,13 @@ def test_mgf_warns_outside_interval(tmsv_setup):
 
 
 def test_spectral_preparation_allocates_no_dense_matrix():
-    """The SLD spectrum and the outcome distribution at N_B = 3, on
-    23 x 67 = 1541 joint dimensions, peak below one dense 1541^2 complex
-    matrix.  The received state is built before tracing starts, because
-    received_state still fills a dense (signal x bath) x (rank x bath)
-    buffer."""
+    """The received state, the SLD spectrum and the outcome distribution
+    at N_B = 3, on 23 x 67 = 1541 joint dimensions, peak below one dense
+    1541^2 complex matrix."""
     state = tmsv(0.5, 23)
-    rho = received_state(state, 3.0, 0.1, 67)
     tracemalloc.start()
     try:
+        rho = received_state(state, 3.0, 0.1, 67)
         obs = sld_observable(state, 3.0, 67)
         dist = outcome_distribution(rho, obs)
         _, peak = tracemalloc.get_traced_memory()
@@ -276,3 +274,25 @@ def test_spectral_preparation_allocates_no_dense_matrix():
     assert obs.dim == 1541
     assert peak < 16 * 1541 ** 2
     assert dist.probabilities.sum() + dist.deficit == pytest.approx(1.0, abs=1e-10)
+
+
+def test_block_route_in_the_bright_bath():
+    """At N_B = 50 (23 x 933 = 21459 joint dimensions) no dense oracle
+    fits, so the block route is held to its own identities: the estimator
+    is unbiased at eta = 0 with unit slope, and Var_0 = 1/H.  Slope and
+    variance may miss by the thermal tail cut at the bath cutoff, whose
+    n-weighted mass relative to N_B is delta (d_b + N_B) / N_B for the
+    geometric law, E[n | n >= d_b] = d_b + N_B."""
+    nb, d_b = 50.0, 933
+    state = tmsv(0.5, 23)
+    fit = unbiasedness_check(state, nb, d_b)
+    obs = sld_observable(state, nb, d_b)
+    rho0 = received_state(state, nb, 0.0, d_b)
+    dist0 = outcome_distribution(rho0, obs)
+    dist1 = outcome_distribution(received_state(state, nb, 0.1, d_b), obs, eta=0.1)
+    tail = 2.0 * rho0.trace_deficit * (d_b + nb) / nb
+    assert abs(fit["intercept"]) < 1e-9
+    assert abs(fit["slope"] - 1.0) <= tail
+    assert abs(dist0.variance() * qfi_schmidt(state, nb).h - 1.0) <= tail
+    for dist in (dist0, dist1):
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
