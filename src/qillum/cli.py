@@ -23,10 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import sim
 from .fock import DimensionError, TruncationError
 from .qfi import MAX_CUTOFF, ConvergenceError, QfiReport, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
-                  prepare_distributions, run_protocol)
+                  prepare_distributions)
 from .states import parse_family, state_from_family
 
 EXIT_OK = 0
@@ -79,6 +80,8 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
         raise ValueError(f"N_S, N_B and phase must be finite, got {n_signal}, {n_bath}, {phase}")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if rel_tol is not None and not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     if rel_tol is not None and name != "maxfock":
         # auto-converge policy: grow the transmitter cutoff until the
         # information value stabilizes
@@ -139,7 +142,8 @@ def cmd_curves(args) -> int:
 
 
 def _simulate_points(payload: dict, overrides: dict):
-    """Expand a simulate config into (point-index, ProtocolConfig) pairs.
+    """Expand a simulate config into one list of ProtocolConfigs per M,
+    one config per xi.
 
     Command-line overrides (eta, m, xi, trials, seed) shadow the file."""
     payload = dict(payload)
@@ -153,49 +157,43 @@ def _simulate_points(payload: dict, overrides: dict):
     xis = xis if isinstance(xis, list) else [xis]
     if not ms or not xis:
         raise ValueError("'m' and 'xi' need at least one value each")
-    points = []
-    for i, m in enumerate(ms):
-        for j, xi in enumerate(xis):
-            cfg = ProtocolConfig(**base, m_copies=int(m), xi=float(xi))
-            points.append(((i, j), cfg))
-    return points
+    return [[ProtocolConfig(**base, m_copies=int(m), xi=float(xi)) for xi in xis]
+            for m in ms]
 
 
 def cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    points = _simulate_points(payload, {"eta": args.eta, "m": args.m,
+    groups = _simulate_points(payload, {"eta": args.eta, "m": args.m,
                                         "xi": args.xi, "trials": args.trials,
                                         "seed": args.seed})
     # Heavy spectral work is shared per config family/eta and runs once,
     # sequentially; only the sampling is fanned out.
-    dists = prepare_distributions(points[0][1])
-    if dists.state.levels is None and points[0][1].n_bath > 3:
+    dists = prepare_distributions(groups[0][0])
+    if dists.state.levels is None and groups[0][0].n_bath > 3:
         sys.stderr.write("warning: general signal vectors make one rank x bath-cutoff "
                          "sector, outside the desk-scale regime above N_B = 3\n")
-    def _one(item):
-        key, cfg = item
-        return key, run_protocol(cfg, dists)
+    # every xi of one M reads the same draw: one sweep per M
+    def _sweep(cfgs):
+        return sim.xi_sweep(cfgs[0], [cfg.xi for cfg in cfgs], dists)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = dict(pool.map(_one, points))
+            sweeps = list(pool.map(_sweep, groups))
     else:
-        results = dict(map(_one, points))
-    keys = sorted(results)
+        sweeps = list(map(_sweep, groups))
+    reports = [rep for sweep in sweeps for rep in sweep]
     lines = ["# schema: qi.sim.v1", ErrorReport.CSV_HEADER]
     best = None
-    for key in keys:
-        rep = results[key]
+    for rep in reports:
         lines.append(rep.to_csv_row())
         floor = min(rep.rate_type1, rep.rate_type2)
         if not math.isnan(floor) and (best is None or floor > best[0]):
             best = (floor, rep.xi)
-    if best is not None and len({k[1] for k in keys}) > 1:
+    if best is not None and len(groups[0]) > 1:
         lines.append(f"# max-min-rate at xi={repr(best[1])}")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    reports = [results[k] for k in keys]
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump([r.to_json_dict() for r in reports], fh, sort_keys=True, indent=2)

@@ -111,7 +111,8 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> list:
     The generator conserves the excitation number N = n_s + n_b, so the
     joint indices i * dim_bath + j with i + j = N form one block, a
     tridiagonal chain exponentiated through the eigendecomposition of its
-    Hermitian form, unitary up to eigensolver accuracy.  Rows in
+    Hermitian form, unitary up to eigensolver accuracy; at eta = 0 every
+    block is the exact identity and no eigensolver runs.  Rows in
     incomplete sectors (N >= min(dim_signal, dim_bath)) remain unitary
     but no longer represent the physical beamsplitter; keep those
     amplitudes negligible by choosing cutoffs with headroom.
@@ -119,14 +120,17 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> list:
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
+    sectors = group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath))).values()
+    if theta == 0.0:
+        return [(idx, np.eye(len(idx), dtype=np.complex128)) for idx in sectors]
     blocks = []
-    for idx in group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath))).values():
+    for idx in sectors:
         i, j = np.divmod(idx[1:], dim_bath)
         # s'b - sb' is real and antisymmetric: <i,j|s'b|i-1,j+1> = sqrt(i (j+1))
         link = np.sqrt(i) * np.sqrt(j + 1)
         k = np.diag(link, -1) - np.diag(link, 1)
         lam, vec = np.linalg.eigh(1j * k)
-        # 1 + V (e^{-i theta lam} - 1) V': the identity stays exact at eta = 0
+        # 1 + V (e^{-i theta lam} - 1) V', accurate at small theta
         blocks.append((idx, np.eye(len(idx))
                        + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T))
     return blocks

@@ -14,7 +14,10 @@ These are the rates compared against the predictions xi^2 eta^2 H / 2.
 
 Sampling uses counter-based RNG streams keyed by (seed, stream, chunk):
 every trial's draws are reproducible independently of execution order,
-so results are bit-identical across runs and thread counts.
+so results are bit-identical across runs and thread counts.  Trial means
+are prefix-consistent, so the thresholds of one M share one draw: each
+xi reports on the prefix where its own doubling rule stops, with the
+same numbers as a sweep of that xi alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .qfi import qfi_bounds, qfi_schmidt
 from .states import SchmidtState, parse_family, state_from_family
 
 SAMPLE_CHUNK = 4096
-GUIDE_SIZE = 1 << 14      # guide-table buckets; a power of two keeps u * GUIDE_SIZE exact
+GUIDE_SIZE = 1 << 14      # fewest guide-table buckets; powers of two keep u * size exact
 BLOCK_DRAWS = 1 << 15     # uniforms per sampling block, small enough to stay in cache
 MIN_ERROR_EVENTS = 50
 
@@ -181,9 +184,12 @@ def _chunk_generator(seed: int, stream: int, chunk: int, skip: int) -> Generator
 
 
 def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The outcome value of each bucket [b, b + 1) / GUIDE_SIZE of u, or
-    NaN where a CDF step falls strictly inside the bucket."""
-    edges = np.arange(GUIDE_SIZE + 1) / GUIDE_SIZE
+    """The outcome value of each bucket [b, b + 1) / size of u, or NaN
+    where a CDF step falls strictly inside the bucket.  The size is the
+    smallest power of two with four buckets per outcome, at least
+    GUIDE_SIZE, so that few buckets hold a step."""
+    size = max(GUIDE_SIZE, 1 << (4 * len(vals) - 1).bit_length())
+    edges = np.arange(size + 1) / size
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     hi = np.searchsorted(cdf, edges[1:], side="left")
     return np.where(lo == hi, vals[lo], np.nan)
@@ -220,6 +226,7 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     # exactly 1 at the end, so every u in [0, 1) finds an outcome
     cdf /= cdf[-1]
     guide = _guide_table(vals, cdf)
+    size = len(guide)
     rows = max(1, BLOCK_DRAWS // m)
     stop = first + trials
     out = np.empty(trials)
@@ -230,11 +237,11 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
         for t in range(begin, end, rows):
             n = min(rows, end - t)
             u = gen.random((n, m))
-            u *= GUIDE_SIZE           # exact, so u // 1 is the bucket
+            u *= size                 # exact, so u // 1 is the bucket
             x = guide[u.astype(np.intp)]
             miss = np.isnan(x)
             if miss.any():
-                x[miss] = vals[np.searchsorted(cdf, u[miss] / GUIDE_SIZE, side="right")]
+                x[miss] = vals[np.searchsorted(cdf, u[miss] / size, side="right")]
             out[t - first:t - first + n] = x.mean(axis=1)
     return out
 
@@ -291,15 +298,16 @@ def _gauss_rate_point(p: float, p_lo: float, p_hi: float, m: int):
 
 def xi_sweep(cfg: ProtocolConfig, xi_grid,
              dists: ProtocolDistributions | None = None) -> list:
-    """Run the threshold test over a grid of xi on one shared sample set.
+    """Run the threshold test over a grid of xi on one shared draw.
 
-    Both hypothesis branches are sampled once per trial budget and every
-    threshold is applied to the same estimates, which makes the
-    monotonicity of P_I and P_II in xi exact per sweep.  Trials double
-    adaptively (up to ``trials_cap_factor`` times the configured count)
-    until every threshold has at least 50 events in both error classes or
-    the cap is reached; each doubling draws only the new trials.
-    Deterministic given the seed.
+    Both hypothesis branches are sampled once, and trials double
+    (trials, 2 trials, ... up to ``trials_cap_factor`` times the configured
+    count) until every threshold has at least 50 events in both error
+    classes or the cap is reached; each doubling draws only the new
+    trials.  Each xi then reports on the first rung of that ladder where
+    both of its own error counts reach 50, or on the last one.  Trial
+    means are prefix-consistent, so every report equals ``run_protocol``
+    with that xi alone, bit for bit.  Deterministic given the seed.
     """
     if dists is None:
         dists = prepare_distributions(cfg)
@@ -307,6 +315,7 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
     trials = cfg.trials
     cap = cfg.trials * cfg.trials_cap_factor
     means0 = means1 = np.empty(0)
+    ladder = []                       # (trials, error counts per xi) of each rung
     while True:
         drawn = len(means0)
         means0 = np.concatenate([means0, sample_means(
@@ -317,12 +326,17 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
             trials - drawn, cfg.seed, stream=2 * cfg.m_copies + 1, first=drawn)])
         counts = [(int(np.count_nonzero(means0 > xi * cfg.eta)),
                    int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in xis]
+        ladder.append((trials, counts))
         if all(min(k1, k2) >= MIN_ERROR_EVENTS for k1, k2 in counts) or trials >= cap:
             break
         trials = min(cap, trials * 2)
 
     reports = []
-    for xi, (k1, k2) in zip(xis, counts):
+    for j, xi in enumerate(xis):
+        # where a sweep of this xi alone stops: its first resolved rung, else the last
+        trials, counts = next((rung for rung in ladder
+                               if min(rung[1][j]) >= MIN_ERROR_EVENTS), ladder[-1])
+        k1, k2 = counts[j]
         p1, p2 = k1 / trials, k2 / trials
         ci1 = wilson_interval(k1, trials)
         ci2 = wilson_interval(k2, trials)

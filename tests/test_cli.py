@@ -77,9 +77,10 @@ def test_qfi_invalid_params_exit_2(capsys):
     # a non-finite convergence tolerance would grow the cutoff forever (nan)
     # or accept the first one (inf)
     for rel_tol in ("nan", "inf"):
-        assert cli.main(["qfi", "--family", "coherent", "--ns", "1", "--nb", "1",
-                         "--rel-tol", rel_tol]) == 2
-        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        for family in ("coherent", "maxfock:3"):
+            assert cli.main(["qfi", "--family", family, "--ns", "1", "--nb", "1",
+                             "--rel-tol", rel_tol]) == 2
+            assert "rel_tol must be positive and finite" in capsys.readouterr().err
         assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
                          "--rel-tol", rel_tol]) == 2
         assert "rel_tol must be positive and finite" in capsys.readouterr().err
@@ -175,6 +176,42 @@ def test_simulate_deterministic_across_runs_and_threads(tmp_path, sim_config):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_simulate_draws_once_per_m(tmp_path, monkeypatch):
+    import qillum.cli as cli
+    import qillum.sim as sim
+
+    draws = []
+    sample_means = sim.sample_means
+
+    def counting(values, probabilities, m, trials, *args, **kwargs):
+        draws.append(m * trials)
+        return sample_means(values, probabilities, m, trials, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_means", counting)
+    cfg = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.3,
+           "m": [100, 200], "xi": [0.3, 0.5, 0.7], "trials": 300, "seed": 11,
+           "trials_cap_factor": 64, "d_signal": 16, "dim_bath": 16}
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(cfg))
+    sweep = tmp_path / "sweep.csv"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(sweep)]) == 0
+    rows = [line.split(",") for line in sweep.read_text().split("\n")[2:8]]
+    # one shared draw per M: both hypotheses up to that M's largest row
+    budget = {}
+    for row in rows:
+        m, trials = int(row[5]), int(row[6])
+        budget[m] = max(budget.get(m, 0), trials)
+    assert len({row[6] for row in rows}) > 2
+    assert sum(draws) == sum(2 * m * trials for m, trials in budget.items())
+    # and every row is the row of a run with that xi alone
+    for xi in cfg["xi"]:
+        single = tmp_path / f"xi{xi}.csv"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(single),
+                         "--xi", str(xi)]) == 0
+        assert single.read_text().split("\n")[2:4] == \
+            [",".join(row) for row in rows if row[4] == repr(xi)]
 
 
 def test_simulate_schema_and_xi_flag(tmp_path, sim_config):

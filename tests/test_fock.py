@@ -72,7 +72,7 @@ def test_thermal_ratio_exact():
 
 def test_beamsplitter_zero_is_identity():
     u = dense(beamsplitter_unitary(0.0, 6, 6))
-    assert np.abs(u - np.eye(36)).max() < 1e-13
+    assert np.array_equal(u, np.eye(36))
 
 
 def test_beamsplitter_full_reflection_swaps():

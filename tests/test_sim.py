@@ -1,8 +1,9 @@
 """Detection-protocol Monte Carlo and exponent extraction."""
 
+import functools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from numpy.random import Generator, Philox
 
 from qillum.qfi import qfi_bounds, qfi_gaussian_closed
 from qillum.sim import (GUIDE_SIZE, MIN_ERROR_EVENTS, SAMPLE_CHUNK, ErrorReport,
-                        ProtocolConfig, UnresolvedStatisticsError,
+                        ProtocolConfig, UnresolvedStatisticsError, _guide_table,
                         classical_error_closed, gaussian_rate_fit,
                         prepare_distributions, run_protocol, sample_means,
                         wilson_interval, xi_sweep)
@@ -187,6 +188,23 @@ def test_sample_means_matches_binary_search_oracle(dist, m, size, split, seed, s
     assert np.array_equal(np.concatenate(parts), expected)
 
 
+def test_guide_table_sized_to_the_outcomes():
+    # the smallest power of two with four buckets per outcome, at least GUIDE_SIZE
+    for n, size in ((1, GUIDE_SIZE), (4096, GUIDE_SIZE), (4097, 2 * GUIDE_SIZE),
+                    (21459, 8 * GUIDE_SIZE)):
+        cdf = np.arange(1, n + 1) / n
+        assert len(_guide_table(np.arange(n, dtype=float), cdf)) == size
+
+
+def test_sample_means_many_outcomes_match_binary_search_oracle():
+    # 5000 outcomes take a 2^15-bucket guide table
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=5000)
+    probs = rng.random(5000)
+    expected = searchsorted_sample_means(values, probs, 7, 5000, 8, 1)
+    assert np.array_equal(sample_means(values, probs, 7, 5000, seed=8, stream=1), expected)
+
+
 def test_sample_means_clamps_negative_probabilities():
     values = np.array([-1.0, 0.0, 0.5, 2.0])
     probs = np.array([0.3, -0.05, 0.4, 0.3])
@@ -254,36 +272,55 @@ def test_xi_sweep_monotone(coherent_setup):
     assert all(a <= b for a, b in zip(p2, p2[1:]))
 
 
-def test_xi_sweep_doublings_match_redrawn_trials():
+@pytest.fixture(scope="module")
+def doubling_setup():
+    """A sweep whose xi rows stop on different rungs of the doubling."""
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3, xi=0.5,
                          m_copies=200, trials=300, seed=11, trials_cap_factor=64,
                          d_signal=16, dim_bath=16)
-    xis = [0.3, 0.5, 0.7]
-    dists = prepare_distributions(cfg)
+    return cfg, [0.3, 0.5, 0.7], prepare_distributions(cfg)
+
+
+def test_xi_sweep_doublings_match_redrawn_trials(doubling_setup):
+    cfg, xis, dists = doubling_setup
     reports = xi_sweep(cfg, xis, dists)
-    # oracle: every doubling redraws all trials with the binary-search sampler
-    trials = cfg.trials
-    while True:
-        means0 = searchsorted_sample_means(dists.dist_absent.values,
-                                           dists.dist_absent.probabilities,
-                                           cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies)
-        means1 = searchsorted_sample_means(dists.dist_present.values,
-                                           dists.dist_present.probabilities,
-                                           cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies + 1)
-        counts = [(int(np.count_nonzero(means0 > xi * cfg.eta)),
-                   int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in xis]
-        if all(min(c) >= MIN_ERROR_EVENTS for c in counts):
-            break
-        trials *= 2
-    assert cfg.trials < trials < cfg.trials * cfg.trials_cap_factor
-    assert [(r.trials, r.errors_type1, r.errors_type2) for r in reports] == \
-        [(trials, k1, k2) for k1, k2 in counts]
+
+    @functools.cache
+    def redraw(trials):
+        return (searchsorted_sample_means(dists.dist_absent.values,
+                                          dists.dist_absent.probabilities,
+                                          cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies),
+                searchsorted_sample_means(dists.dist_present.values,
+                                          dists.dist_present.probabilities,
+                                          cfg.m_copies, trials, cfg.seed,
+                                          2 * cfg.m_copies + 1))
+
+    # oracle: each xi redraws all trials with the binary-search sampler,
+    # doubling until both of its own error counts reach 50
+    expected = []
+    for xi in xis:
+        trials = cfg.trials
+        while True:
+            means0, means1 = redraw(trials)
+            k1 = int(np.count_nonzero(means0 > xi * cfg.eta))
+            k2 = int(np.count_nonzero(means1 <= xi * cfg.eta))
+            if min(k1, k2) >= MIN_ERROR_EVENTS:
+                break
+            trials *= 2
+        assert cfg.trials < trials < cfg.trials * cfg.trials_cap_factor
+        expected.append((trials, k1, k2))
+    assert [(r.trials, r.errors_type1, r.errors_type2) for r in reports] == expected
+
+
+def test_xi_sweep_equals_run_protocol_per_xi(doubling_setup):
+    cfg, xis, dists = doubling_setup
+    reports = xi_sweep(cfg, xis, dists)
+    assert len({r.trials for r in reports}) > 1
+    assert reports == [run_protocol(replace(cfg, xi=xi), dists) for xi in xis]
 
 
 def test_xi_branch_rate_scaling(coherent_setup):
     cfg, dists = coherent_setup
-    from dataclasses import replace
-
     rep = run_protocol(replace(cfg, xi=0.3, trials=100000, m_copies=500), dists)
     ratio = rep.rate_type1 / rep.rate_type2
     assert ratio == pytest.approx(0.3 ** 2 / 0.7 ** 2, rel=0.10)
