@@ -7,8 +7,7 @@ hypothesis test with its error-probability exponents.
 """
 
 from .fock import (DensityOperator, DimensionError, TruncationError,
-                   annihilation, beamsplitter_unitary, eig_hermitian,
-                   thermal_weights)
+                   beamsplitter_unitary, eig_hermitian, thermal_weights)
 from .states import (SchmidtState, cat_idler_eigenvalues, cat_state,
                      cat_state_infinite_d, coherent, max_entangled_fock,
                      schmidt_decompose, state_from_family, tmsv)

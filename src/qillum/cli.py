@@ -157,7 +157,7 @@ def _simulate_points(payload: dict, overrides: dict):
     xis = xis if isinstance(xis, list) else [xis]
     if not ms or not xis:
         raise ValueError("'m' and 'xi' need at least one value each")
-    return [[ProtocolConfig(**base, m_copies=int(m), xi=float(xi)) for xi in xis]
+    return [[ProtocolConfig(**base, m_copies=m, xi=float(xi)) for xi in xis]
             for m in ms]
 
 

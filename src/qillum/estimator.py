@@ -21,6 +21,10 @@ one sector.  A received state comes wrapped in a
 :class:`~qillum.fock.DensityOperator` that carries its trace deficit.
 The SLD is the only observable built here: the quadrature and ab + a'b'
 forms it reduces to for coherent and tmsv transmitters are test oracles.
+The reflectivity derivative of the received state is a block list on the
+same sectors, from the same ladder builder as the SLD.  Every trace
+against the observable (outcome probabilities, moments Tr(X O^k)) is read
+from one diagonal <o_i|X|o_i> in its eigenbasis.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityOperator, TruncationError, annihilation,
-                   beamsplitter_unitary, eig_hermitian, group_indices,
-                   thermal_weights)
+from .fock import (DensityOperator, TruncationError, beamsplitter_unitary,
+                   eig_hermitian, group_indices, thermal_weights)
 from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
 
@@ -86,18 +89,17 @@ class MomentBoundReport:
         return all(self.passed)
 
 
-def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> np.ndarray:
+def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> list:
     """Analytic reflectivity derivative of the received state at eta = 0,
-    on the (rank x bath) space of :func:`received_state`."""
+    as a block list on the sectors of :func:`received_state`.
+
+    It is x + x' with x = sqrt(p_a p_a') conj(<w_a|s|w_a'>) |v_a><v_a'|
+    (x) [b, rho_B], and [b, rho_B] = (rho_{n+1} - rho_n) sqrt(n+1) |n><n+1|.
+    """
     rho_w = thermal_weights(n_bath, dim_bath)
-    rho_b = np.diag(rho_w)
-    b = annihilation(dim_bath)
-    comm_b = b @ rho_b - rho_b @ b
-    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
-    m = signal_lowering_matrix(state)
     sp = np.sqrt(state.probs)
-    outer = sp[:, None] * sp[None, :]
-    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
+    pair = sp[:, None] * sp[None, :] * np.conj(signal_lowering_matrix(state))
+    return _ladder_blocks(state, dim_bath, pair, np.append(np.diff(rho_w), 0.0))
 
 
 def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> ObservableSpectrum:
@@ -116,16 +118,8 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
     c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
     scale = -2.0 / (rep.h * (1.0 + n_bath))
-    blocks = []
-    for rows, _ in _sectors(state, dim_bath):
-        a, n = np.divmod(rows, dim_bath)
-        ia = np.ix_(a, a)
-        # rows (a, n) x (a', n') of the two Kronecker products, with
-        # <n|b|n'> = sqrt(n') if n' = n + 1 on this sector's own levels
-        b = np.where(n[None, :] == n[:, None] + 1, np.sqrt(n), 0.0)
-        x = np.conj(c)[ia] * b + c.T[ia] * b.T
-        x *= scale
-        blocks.append((rows, 0.5 * (x + x.conj().T)))
+    blocks = [(rows, x * scale)
+              for rows, x in _ladder_blocks(state, dim_bath, np.conj(c), np.ones(dim_bath))]
     return ObservableSpectrum(*eig_hermitian(blocks), blocks)
 
 
@@ -140,6 +134,22 @@ def _sectors(state: SchmidtState, dim_bath: int) -> list:
     rows = group_indices(np.subtract.outer(state.levels, n))
     cols = group_indices(np.subtract.outer(np.arange(state.d_signal), n))
     return [(rows[q], cols[q]) for q in rows]
+
+
+def _ladder_blocks(state: SchmidtState, dim_bath: int, pair: np.ndarray,
+                   weight: np.ndarray) -> list:
+    """x + x' on each sector of :func:`_sectors`, with x[(a, n), (a', n')] =
+    pair[a, a'] weight[n] sqrt(n + 1) where n' = n + 1 and zero elsewhere:
+    the one place <n|b|n'> is built.  x and x' have disjoint supports, so
+    the sum rounds nothing."""
+    blocks = []
+    for rows, _ in _sectors(state, dim_bath):
+        a, n = np.divmod(rows, dim_bath)
+        ladder = np.where(n[None, :] == n[:, None] + 1,
+                          (weight[n] * np.sqrt(n + 1))[:, None], 0.0)
+        x = pair[np.ix_(a, a)] * ladder
+        blocks.append((rows, x + x.conj().T))
+    return blocks
 
 
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
@@ -202,23 +212,22 @@ def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
             "curvature": float(coef[2]), "etas": etas, "means": np.asarray(means)}
 
 
-def _matched(blocks, obs: ObservableSpectrum):
-    """A block list zipped with the observable's blocks on the same rows."""
-    if len(blocks) != len(obs.blocks) or not all(
-            np.array_equal(rows, own) for (rows, _), (own, _) in zip(blocks, obs.blocks)):
+def _eigen_diagonal(blocks, obs: ObservableSpectrum) -> np.ndarray:
+    """<o_i|X|o_i> of a block list X on the observable's rows, in the
+    observable's eigenvalue order."""
+    if len(blocks) != len(obs.eigenvectors) or not all(
+            np.array_equal(rows, own) for (rows, _), (own, _, _) in zip(blocks, obs.eigenvectors)):
         raise ValueError("operator blocks do not match the observable's")
-    return zip(blocks, obs.blocks, obs.eigenvectors)
+    diag = np.empty(obs.dim)
+    for (_, x), (_, vec, pos) in zip(blocks, obs.eigenvectors):
+        diag[pos] = np.real(np.einsum("ij,ij->j", vec.conj(), x @ vec))
+    return diag
 
 
 def trace_moments(blocks, obs: ObservableSpectrum, k_max: int) -> list:
-    """Tr(X O^k), k = 1..k_max, of a block list X, summed block by block."""
-    f = np.zeros(k_max)
-    for (_, x), (_, o), _ in _matched(blocks, obs):
-        power = np.eye(len(o), dtype=np.complex128)
-        for k in range(k_max):
-            power = power @ o
-            f[k] += np.real(np.trace(x @ power))
-    return f.tolist()
+    """Tr(X O^k) = sum_i o_i^k <o_i|X|o_i>, k = 1..k_max, of a block list X."""
+    diag = _eigen_diagonal(blocks, obs)
+    return [float(np.dot(obs.eigenvalues ** k, diag)) for k in range(1, k_max + 1)]
 
 
 def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
@@ -228,9 +237,7 @@ def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
     ``eta`` is carried along as a label of the reflectivity the state was
     prepared at; it does not enter the computation.
     """
-    probs = np.empty(obs.dim)
-    for (_, r), _, (_, vec, pos) in _matched(rho.blocks, obs):
-        probs[pos] = np.real(np.einsum("ij,ij->j", vec.conj(), r @ vec))
+    probs = _eigen_diagonal(rho.blocks, obs)
     if probs.min() < -1e-10:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
     return OutcomeDistribution(obs.eigenvalues.copy(), probs, eta, rho.trace_deficit)

@@ -6,6 +6,9 @@ value): ``block`` is the square complex128 matrix on the indices
 ``rows``, and entries between sectors are zero and never stored.  The
 beamsplitter, received states (:class:`DensityOperator`) and the
 estimator observable (:func:`eig_hermitian`) share this one format.
+No single-mode operator is built here: a ladder enters only as the
+entries of the blocks that use it (the beamsplitter chains below, the
+estimator's sector blocks in :mod:`qillum.estimator`).
 
 Multimode objects follow one global factor-ordering convention: whenever
 idler, signal, and bath modes appear together the factors are ordered
@@ -80,13 +83,6 @@ class DensityOperator:
 
     def trace(self) -> float:
         return float(sum(np.real(np.trace(block)) for _, block in self.blocks))
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator: <n-1|a|n> = sqrt(n)."""
-    if dim < 2:
-        raise DimensionError(f"annihilation needs dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
 
 
 def thermal_weights(n_bath: float, dim: int) -> np.ndarray:

@@ -23,6 +23,7 @@ same numbers as a sweep of that xi alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,18 +65,19 @@ class ProtocolConfig:
 
     def __post_init__(self):
         parse_family(self.family)
-        if not all(map(math.isfinite, (self.n_signal, self.n_bath, self.eta, self.phase))):
-            raise ValueError("n_signal, n_bath, eta and phase must be finite")
+        if not all(map(math.isfinite, (self.n_signal, self.n_bath, self.eta, self.phase,
+                                       self.prior_absent, self.prior_present))):
+            raise ValueError("n_signal, n_bath, eta, phase and priors must be finite")
         if self.n_signal < 0 or self.n_bath < 0:
             raise ValueError("mean photon numbers must be >= 0")
         if not 0.0 < self.xi < 1.0:
             raise ValueError("threshold fraction must lie strictly between 0 and 1")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        if self.m_copies < 1:
-            raise ValueError("need at least one copy per trial")
-        if self.trials < 1:
-            raise ValueError("zero trials requested")
+        # bool is an Integral: a JSON true would run and print "True" as trials
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in (self.m_copies, self.trials, self.trials_cap_factor)):
+            raise ValueError("m_copies, trials and trials_cap_factor must be integers >= 1")
         if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
                 min(self.prior_absent, self.prior_present) < 0:
             raise ValueError("priors must form a distribution")

@@ -103,18 +103,6 @@ class SchmidtState:
         rows, cols = np.nonzero(m)
         return rows, cols, m[rows, cols]
 
-    def validate(self, ortho_tol: float = 1e-9, mass_tol: float = 1e-10) -> None:
-        vectors = self.vectors
-        gram = vectors.conj().T @ vectors
-        dev = np.abs(gram - np.eye(self.rank)).max()
-        if dev >= ortho_tol:
-            raise ValueError(f"signal vectors not orthonormal, deviation {dev:.3e}")
-        mass = float(np.sum(self.probs)) + self.deficit
-        if abs(mass - 1.0) > mass_tol:
-            raise ValueError(f"probability mass {mass:.12f} differs from 1")
-        if np.any(self.probs < 0):
-            raise ValueError("negative Schmidt probability")
-
 
 def _finalize(probs: np.ndarray, vectors: np.ndarray | None, d_signal: int,
               meta: dict) -> SchmidtState:
@@ -211,11 +199,11 @@ def cat_state(n_signal: float, d: int, d_signal: int) -> SchmidtState:
     if d < 2:
         raise ValueError("cat states need d >= 2 components")
     lam = cat_idler_eigenvalues(n_signal, d)
-    alphas = np.sqrt(n_signal) * np.exp(2j * np.pi * np.arange(d) / d)
-    amp = np.column_stack([coherent_amplitudes(a, d_signal) for a in alphas])
-    # u_k = (1/d) sum_l e^{-i 2 pi k l / d} |a_l>, the unnormalized Schmidt vector
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    raw = amp @ phases.T / d
+    # u_k = (1/d) sum_l e^{-i 2 pi k l / d} |a_l>, the unnormalized Schmidt
+    # vector, keeps the levels n = k (mod d) of |a_0>: u_k[n] = c_n [n = k mod d]
+    amp = coherent_amplitudes(np.sqrt(n_signal), d_signal)
+    residue = np.arange(d_signal)[:, None] % d == np.arange(d)[None, :]
+    raw = np.where(residue, amp[:, None], 0.0)
     keep = lam > PRUNE_EPS
     lam_kept = lam[keep]
     raw_kept = raw[:, keep]

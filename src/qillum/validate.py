@@ -157,10 +157,9 @@ def check_sld_identities(dim_bath: int = 40, families: str = "full") -> CheckRes
         rep = qfi_schmidt(state, nb)
         obs = sld_observable(state, nb, dim_bath)
         rho0 = received_state(state, nb, 0.0, dim_bath)
-        drho = eta_derivative(state, nb, dim_bath)
-        drho_blocks = [(rows, drho[np.ix_(rows, rows)]) for rows, _ in obs.blocks]
         t0 = abs(rep.h * trace_moments(rho0.blocks, obs, 1)[0])
-        t1 = abs(rep.h * trace_moments(drho_blocks, obs, 1)[0] - rep.h)
+        t1 = abs(rep.h * trace_moments(eta_derivative(state, nb, dim_bath), obs, 1)[0]
+                 - rep.h)
         var = outcome_distribution(rho0, obs).variance()
         fit = unbiasedness_check(state, nb, dim_bath)
         fam = state.meta["family"]

@@ -4,6 +4,12 @@ against dense oracles."""
 import numpy as np
 
 
+def annihilation(dim):
+    """Single-mode annihilation operator, <n-1|a|n> = sqrt(n), as a dense
+    dim x dim matrix."""
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
+
+
 def dense(blocks):
     """The matrix of a list of (rows, square block) pairs, zero outside
     the blocks."""

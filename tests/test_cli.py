@@ -260,6 +260,8 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
     for key, value, message in (("m", [], "at least one value"),
                                 ("xi", [], "at least one value"),
                                 ("eta", 1.5, "reflectivity"),
+                                ("m", [50.9], "integers >= 1"),
+                                ("trials", 2.5, "integers >= 1"),
                                 ("n_signal", -0.5, "photon numbers"),
                                 ("n_bath", -1.0, "photon numbers"),
                                 ("family", "cat:x", "unknown family"),

@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense import dense, dense_basis, one_block
+from dense import annihilation, dense, dense_basis, one_block
 
 from qillum.estimator import (eta_derivative, mgf_empirical,
                               moment_bound_check, outcome_distribution,
                               received_state, signal_antinormal_moments,
-                              sld_observable, unbiasedness_check)
-from qillum.fock import (DensityOperator, TruncationError, annihilation,
-                         eig_hermitian, thermal_weights)
+                              sld_observable, trace_moments, unbiasedness_check)
+from qillum.fock import (DensityOperator, TruncationError, eig_hermitian,
+                         thermal_weights)
 from qillum.qfi import qfi_schmidt
 from qillum.states import cat_state, coherent, tmsv
 
@@ -134,13 +134,13 @@ def test_eta_derivative_matches_finite_difference():
     delta = 1e-5
     fd = (dense(received_state(state, NB, delta, DIM_BATH).blocks)
           - dense(received_state(state, NB, 0.0, DIM_BATH).blocks)) / delta
-    analytic = eta_derivative(state, NB, DIM_BATH)
+    analytic = dense(eta_derivative(state, NB, DIM_BATH))
     assert np.abs(fd - analytic).max() < 1e-4
 
 
 def test_sld_defining_equation(tmsv_setup):
     state, rep, obs, rho0 = tmsv_setup
-    drho = eta_derivative(state, NB, DIM_BATH)
+    drho = dense(eta_derivative(state, NB, DIM_BATH))
     l_mat = rep.h * dense(obs.blocks)
     rho = dense(rho0.blocks)
     resid = 0.5 * (rho @ l_mat + l_mat @ rho) - drho
@@ -152,7 +152,7 @@ def test_sld_two_route_agreement(tmsv_setup):
     # eigenvalue-pair support; tiny pairs are excluded where eigenvector
     # mixing between near-degenerate tail levels amplifies roundoff
     state, rep, obs, rho0 = tmsv_setup
-    drho = eta_derivative(state, NB, DIM_BATH)
+    drho = dense(eta_derivative(state, NB, DIM_BATH))
     lam, vecs = eig_hermitian(rho0.blocks)
     vec = dense_basis(vecs)
     m = vec.conj().T @ drho @ vec
@@ -166,7 +166,7 @@ def test_sld_two_route_agreement(tmsv_setup):
 
 def test_sld_from_eigensum_helper(tmsv_setup):
     state, rep, obs, rho0 = tmsv_setup
-    drho = eta_derivative(state, NB, DIM_BATH)
+    drho = dense(eta_derivative(state, NB, DIM_BATH))
     l_back = sld_from_eigensum(rho0, drho)
     assert abs(np.trace(l_back @ drho) - rep.h) < 1e-6
 
@@ -232,14 +232,22 @@ def test_moment_bound_report(tmsv_setup):
 
 
 def test_distribution_moments_equal_trace_route(tmsv_setup):
-    _, _, obs, rho0 = tmsv_setup
+    # trace_moments reads the eigenbasis diagonal; dense matrix powers are
+    # its oracle, also for a state off eta = 0 and for the derivative
+    # blocks, which are not a density operator
+    state, _, obs, rho0 = tmsv_setup
     dist = outcome_distribution(rho0, obs)
+    operators = (rho0.blocks, received_state(state, NB, 0.05, DIM_BATH).blocks,
+                 eta_derivative(state, NB, DIM_BATH))
+    moments = [trace_moments(x, obs, 4) for x in operators]
     power = np.eye(obs.dim, dtype=np.complex128)
     for k in range(1, 5):
         power = power @ dense(obs.blocks)
         trace_moment = float(np.real(np.trace(dense(rho0.blocks) @ power)))
         dist_moment = float(np.dot(dist.probabilities, dist.values ** k))
         assert abs(trace_moment - dist_moment) < 1e-9
+        for x, f in zip(operators, moments):
+            assert abs(f[k - 1] - float(np.real(np.trace(dense(x) @ power)))) < 1e-9
 
 
 def test_mgf_point_mass_and_origin(tmsv_setup):

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense import annihilation, dense
 from hypothesis import example, given, settings, strategies as st
 
 from qillum.estimator import eta_derivative, signal_antinormal_moments
-from qillum.fock import annihilation, thermal_weights
+from qillum.fock import thermal_weights
 from qillum.qfi import (ConvergenceError, converge_cutoff, qfi_bounds,
                         qfi_cat_direct, qfi_gaussian_closed, qfi_schmidt,
                         signal_lowering_matrix)
@@ -29,7 +30,7 @@ def qfi_numerical(state, n_bath, dim_bath, pair_floor=1e-12):
     then evaluates 2 sum |<m|drho|n>|^2 / (lam_m + lam_n), skipping pairs
     whose eigenvalue sum is below ``pair_floor``.
     """
-    drho = eta_derivative(state, n_bath, dim_bath)
+    drho = dense(eta_derivative(state, n_bath, dim_bath))
     rho0 = np.kron(np.diag(state.probs), np.diag(thermal_weights(n_bath, dim_bath)))
     lam, vec = np.linalg.eigh(rho0)
     m = vec.conj().T @ drho @ vec
@@ -155,8 +156,8 @@ def assert_routes_agree(state, n_bath, dim_bath, perm):
     assert_close(signal_lowering_matrix(state)[np.ix_(perm, perm)],
                  signal_lowering_matrix(general))
     joint = (perm[:, None] * dim_bath + np.arange(dim_bath)).ravel()
-    assert_close(eta_derivative(state, n_bath, dim_bath)[np.ix_(joint, joint)],
-                 eta_derivative(general, n_bath, dim_bath))
+    assert_close(dense(eta_derivative(state, n_bath, dim_bath))[np.ix_(joint, joint)],
+                 dense(eta_derivative(general, n_bath, dim_bath)))
     assert_close(signal_antinormal_moments(state, 3), signal_antinormal_moments(general, 3))
 
 
@@ -207,11 +208,11 @@ def test_sliced_ladder_matches_dense_annihilation():
         assert_close(state.mean_photons(),
                      np.sum(state.probs * np.sum(np.abs(lowered) ** 2, axis=0)))
         raised = np.vstack([v, np.zeros((3, state.rank))])
-        dense = []
+        moments = []
         for _ in range(3):
             raised = a.conj().T @ raised
-            dense.append(np.sum(state.probs * np.sum(np.abs(raised) ** 2, axis=0)))
-        assert_close(signal_antinormal_moments(state, 3), dense)
+            moments.append(np.sum(state.probs * np.sum(np.abs(raised) ** 2, axis=0)))
+        assert_close(signal_antinormal_moments(state, 3), moments)
 
 
 def test_level_state_qfi_allocates_no_dense_matrix():

@@ -1,9 +1,9 @@
 """Block-list spectral route against dense oracles built here.
 
-The beamsplitter, the SLD spectrum, the received state and the outcome
-distribution are block lists over sectors of conserved quantities: the
-excitation number n_s + n_b, and q = L_a - n_b for a state whose Schmidt
-vectors are Fock levels L_a.  These tests rebuild each of them densely,
+The beamsplitter, the SLD spectrum, the received state, its reflectivity
+derivative and the outcome distribution are block lists over sectors of
+conserved quantities: the excitation number n_s + n_b, and q = L_a - n_b
+for a state whose Schmidt vectors are Fock levels L_a.  These tests rebuild each of them densely,
 with full Kronecker products, ``scipy.linalg.expm`` and
 ``np.linalg.eigh`` on the full matrices, and require the two routes to
 agree.  They also check that the dense oracles vanish outside the
@@ -11,12 +11,13 @@ blocks, which the block lists leave out.
 """
 
 import numpy as np
-from dense import dense
+from dense import annihilation, dense
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from qillum.estimator import outcome_distribution, received_state, sld_observable
-from qillum.fock import annihilation, beamsplitter_unitary, thermal_weights
+from qillum.estimator import (eta_derivative, outcome_distribution, received_state,
+                              sld_observable)
+from qillum.fock import beamsplitter_unitary, thermal_weights
 from qillum.qfi import qfi_schmidt, signal_lowering_matrix
 from qillum.states import SchmidtState, state_from_family
 
@@ -52,6 +53,20 @@ def dense_sld(state, n_bath, dim_bath):
     b = annihilation(dim_bath)
     obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
     return -2.0 / (qfi_schmidt(state, n_bath).h * (1.0 + n_bath)) * obs
+
+
+def dense_eta_derivative(state, n_bath, dim_bath):
+    """The reflectivity derivative of the received state at eta = 0, as
+    two full Kronecker products with the commutators [b, rho_B] and
+    [b', rho_B]."""
+    rho_b = np.diag(thermal_weights(n_bath, dim_bath))
+    b = annihilation(dim_bath)
+    comm_b = b @ rho_b - rho_b @ b
+    comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
+    m = signal_lowering_matrix(state)
+    sp = np.sqrt(state.probs)
+    outer = sp[:, None] * sp[None, :]
+    return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
 
 
 def dense_outcomes(rho, observable):
@@ -112,6 +127,11 @@ def test_outcome_distributions_match_dense_route(family, n_signal, n_bath, eta,
     for rows, _ in obs.blocks:
         inside[np.ix_(rows, rows)] = True
     assert np.abs(ref_obs[~inside]).max(initial=0.0) <= 1e-15
+    drho = eta_derivative(state, n_bath, dim_bath)
+    assert all(np.array_equal(rows, own) for (rows, _), (own, _) in zip(drho, obs.blocks))
+    ref_drho = dense_eta_derivative(state, n_bath, dim_bath)
+    assert np.abs(dense(drho) - ref_drho).max() <= 1e-15
+    assert np.abs(ref_drho[~inside]).max(initial=0.0) <= 1e-15
     for reflectivity in (0.0, eta):
         rho = received_state(state, n_bath, reflectivity, dim_bath)
         dist = outcome_distribution(rho, obs)

@@ -91,9 +91,19 @@ def test_config_validation():
         with pytest.raises(ValueError, match="cutoff"):
             ProtocolConfig(**bad)
     for bad in (dict(n_signal=math.nan), dict(n_bath=math.inf), dict(eta=math.nan),
-                dict(family="coherent", phase=math.nan), dict(phase=-math.inf)):
+                dict(family="coherent", phase=math.nan), dict(phase=-math.inf),
+                dict(prior_absent=math.nan), dict(prior_present=math.nan),
+                dict(prior_absent=math.inf, prior_present=-math.inf)):
         with pytest.raises(ValueError, match="finite"):
             ProtocolConfig(**bad)
+    # constructor only: an infinite cap would double trials without bound
+    for bad in (dict(trials_cap_factor=math.inf), dict(trials_cap_factor=0),
+                dict(trials_cap_factor=2.5), dict(trials=2.5), dict(trials=1e5),
+                dict(trials=-3), dict(m_copies=0), dict(m_copies=50.9),
+                dict(trials=True)):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            ProtocolConfig(**bad)
+    assert ProtocolConfig(trials=1, trials_cap_factor=1).trials_cap_factor == 1
     assert ProtocolConfig(eta=1.0).eta == 1.0
     assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
 

@@ -4,11 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from dense import annihilation
 
 from qillum.states import (SchmidtState, cat_idler_eigenvalues, cat_state,
                            cat_state_infinite_d, coherent, coherent_amplitudes,
                            max_entangled_fock, schmidt_decompose,
                            state_from_family, tmsv)
+
+
+def assert_valid_schmidt(state, ortho_tol=1e-9, mass_tol=1e-10):
+    """Orthonormal signal vectors, nonnegative probabilities, and kept
+    mass plus deficit equal to 1."""
+    vectors = state.vectors
+    gram = vectors.conj().T @ vectors
+    assert np.abs(gram - np.eye(state.rank)).max() < ortho_tol
+    assert abs(float(np.sum(state.probs)) + state.deficit - 1.0) <= mass_tol
+    assert np.all(state.probs >= 0)
 
 
 def poisson_pmf(mean, n):
@@ -39,7 +50,7 @@ def test_tmsv_mean_photons_within_tail():
 
 
 def test_tmsv_validates():
-    tmsv(0.5, 40).validate()
+    assert_valid_schmidt(tmsv(0.5, 40))
 
 
 def test_coherent_vacuum():
@@ -51,8 +62,6 @@ def test_coherent_vacuum():
 
 def test_coherent_is_lowering_eigenvector():
     st = coherent(1.0, 0.7, 30)
-    from qillum.fock import annihilation
-
     w = st.vectors[:, 0]
     m = w.conj() @ annihilation(30) @ w
     alpha = np.sqrt(1.0) * np.exp(0.7j)
@@ -109,7 +118,22 @@ def test_cat_vectors_orthonormal():
     st = cat_state(1.0, 4, 40)
     gram = st.vectors.conj().T @ st.vectors
     assert np.abs(gram - np.eye(st.rank)).max() < 1e-9
-    st.validate()
+    assert_valid_schmidt(st)
+
+
+def test_cat_vectors_live_on_residue_classes():
+    # u_k[n] = c_n(alpha) [n = k mod d]: exact zeros off the class, the
+    # normalized coherent amplitudes on it
+    for ns, d in ((1e-3, 4), (0.5, 2), (1.0, 3), (5.0, 4)):
+        st = cat_state(ns, d, 64)
+        assert st.rank == d
+        amp = coherent_amplitudes(np.sqrt(ns), 64)
+        for k in range(d):
+            on = np.arange(64) % d == k
+            assert np.all(st.vectors[~on, k] == 0.0)
+            ref = amp[on] / np.linalg.norm(amp[on])
+            assert np.abs(st.vectors[on, k] - ref).max() <= 1e-15
+        assert_valid_schmidt(st)
 
 
 def test_cat_mean_photons():
