@@ -23,9 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import sim
+from . import qfi, sim
 from .fock import DimensionError, TruncationError
-from .qfi import MAX_CUTOFF, ConvergenceError, QfiReport, qfi_schmidt
+from .qfi import ConvergenceError, QfiReport, default_cutoff, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions)
 from .states import parse_family, state_from_family
@@ -34,22 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_UNRESOLVED = 4
-
-
-def _default_cutoff(name: str, order: int | None, n_signal: float) -> int:
-    """Transmitter cutoff for a family parsed by :func:`parse_family`."""
-    if name == "maxfock":
-        return order
-    if name == "tmsv":
-        ratio = n_signal / (1.0 + n_signal) if n_signal > 0 else 0.0
-        if ratio == 0.0:
-            return 8
-        cutoff = max(16, int(math.ceil(math.log(1e-12) / math.log(ratio))) + 2)
-        if cutoff > MAX_CUTOFF:
-            raise ConvergenceError(f"tmsv tail needs cutoff {cutoff}, above the cap {MAX_CUTOFF}")
-        return cutoff
-    # Poisson-weighted families: mean + 10 sigma of headroom
-    return max(24, int(math.ceil(n_signal + 10.0 * math.sqrt(n_signal + 1.0) + 10)))
 
 
 def _parse_grid(spec: str):
@@ -75,26 +59,23 @@ def _parse_grid(spec: str):
 
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 phase: float, rel_tol: float | None = None) -> QfiReport:
-    name, order = parse_family(family)
     if not all(map(math.isfinite, (n_signal, n_bath, phase))):
         raise ValueError(f"N_S, N_B and phase must be finite, got {n_signal}, {n_bath}, {phase}")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if rel_tol is not None and not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
-    if rel_tol is not None and name != "maxfock":
-        # auto-converge policy: grow the transmitter cutoff until the
-        # information value stabilizes
-        from .qfi import converge_cutoff
 
-        _, d_signal = converge_cutoff(
-            lambda d: qfi_schmidt(
-                state_from_family(family, n_signal, d, phase=phase), n_bath).h,
-            rel_tol=rel_tol, start=16)
-    else:
-        d_signal = cutoff if cutoff is not None else _default_cutoff(name, order, n_signal)
-    state = state_from_family(family, n_signal, d_signal, phase=phase)
-    return qfi_schmidt(state, n_bath)
+    def report(d_signal):
+        return qfi_schmidt(state_from_family(family, n_signal, d_signal, phase=phase), n_bath)
+
+    if cutoff is None:
+        cutoff = default_cutoff(family, n_signal)
+        if rel_tol is not None:
+            # grow the cutoff from the family's rule until H stabilizes
+            _, cutoff = qfi.converge_cutoff(lambda d: report(d).h, start=cutoff,
+                                            rel_tol=rel_tol)
+    return report(cutoff)
 
 
 def _emit(text: str, out: str | None) -> None:

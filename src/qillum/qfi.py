@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DimensionError, thermal_weights
-from .states import SchmidtState, cat_idler_eigenvalues
+from .states import SchmidtState, cat_idler_eigenvalues, parse_family
 
 DENOM_GUARD = 1e-14
 MAX_CUTOFF = 1 << 15
+# Bose-Einstein mass left past the automatic cutoffs (see thermal_cutoff)
+SIGNAL_TAIL = 1e-12   # tmsv: H stays within ~1e-11 of its closed form
+BATH_TAIL = 1e-8      # simulate: a received-state deficit far below Monte Carlo resolution
 
 
 class ConvergenceError(RuntimeError):
@@ -196,20 +199,48 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
     return 2.0 * n_signal / d ** 4 * total
 
 
-def converge_cutoff(f, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF,
-                    start: int = 16):
-    """Double a cutoff until successive values of ``f`` agree to ``rel_tol``.
+def thermal_cutoff(n_mean: float, tail: float) -> int:
+    """Two levels past the first whose Bose-Einstein tail of mean ``n_mean``
+    is below ``tail``, at least 16; a ConvergenceError above MAX_CUTOFF."""
+    if n_mean <= 0:
+        return 16
+    # log1p keeps the log of the ratio N/(1+N) nonzero however large N is
+    cutoff = max(16, math.ceil(math.log(tail) / math.log1p(-1.0 / (1.0 + n_mean))) + 2)
+    if cutoff > MAX_CUTOFF:
+        raise ConvergenceError(f"a thermal tail below {tail:g} at mean {n_mean:g} needs "
+                               f"cutoff {cutoff}, above the cap {MAX_CUTOFF}")
+    return cutoff
+
+
+def default_cutoff(family: str, n_signal: float) -> int:
+    """Transmitter cutoff of a family label (see :func:`parse_family`).
+
+    maxfock:<d> keeps its rank d; tmsv keeps its geometric tail below
+    SIGNAL_TAIL; coherent and the cat families take the Poisson mean plus
+    ten standard deviations and ten levels, never fewer than 20.
+    """
+    name, order = parse_family(family)
+    if name == "maxfock":
+        return order
+    if name == "tmsv":
+        return thermal_cutoff(n_signal, SIGNAL_TAIL)
+    return math.ceil(n_signal + 10.0 * math.sqrt(n_signal + 1.0) + 10.0)
+
+
+def converge_cutoff(f, start: int, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF):
+    """Double a cutoff from ``start``, never past ``max_cutoff``, until
+    successive values of ``f`` agree to ``rel_tol``.
 
     Verifies along the way that the sequence tends monotonically (the
     direction is inferred, not assumed).  Returns (value, cutoff_used).
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
-    cutoff = int(start)
+    cutoff = min(int(start), max_cutoff)
     prev = float(f(cutoff))
     diffs = []
     while cutoff < max_cutoff:
-        cutoff *= 2
+        cutoff = min(2 * cutoff, max_cutoff)
         cur = float(f(cutoff))
         diffs.append(cur - prev)
         scale = max(abs(cur), abs(prev), 1e-300)

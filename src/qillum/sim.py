@@ -31,7 +31,7 @@ from numpy.random import Generator, Philox
 from scipy.special import erfc, erfcinv
 
 from .estimator import outcome_distribution, received_state, sld_observable
-from .qfi import qfi_bounds, qfi_schmidt
+from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
 from .states import SchmidtState, parse_family, state_from_family
 
 SAMPLE_CHUNK = 4096
@@ -58,8 +58,8 @@ class ProtocolConfig:
     prior_present: float = 0.5
     trials: int = 100_000
     seed: int = 2024
-    d_signal: int | None = None       # transmitter cutoff (None = automatic)
-    dim_bath: int | None = None       # returned-mode cutoff (None = automatic)
+    d_signal: int | None = None       # transmitter cutoff (None = qfi.default_cutoff)
+    dim_bath: int | None = None       # returned-mode cutoff (None = qfi.thermal_cutoff)
     phase: float = 0.0                # coherent-transmitter phase
     trials_cap_factor: int = 8        # adaptive doubling cap, multiple of trials
 
@@ -214,11 +214,11 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     bit.
 
     The CDF is normalized by its total mass.  That mass falls short of 1
-    by the received state's truncation deficit.  For tmsv at N_S = 0.5
-    the automatic cutoffs (a 1e-8 thermal tail) leave 1.9e-9 at N_B = 1
-    and 4.3e-9 at N_B = 3, far below Monte Carlo resolution; their
-    transmitter cutoff leaves more at larger N_S (5.2e-6 at N_S = 2,
-    6.8e-4 at N_S = 5).
+    by the received state's truncation deficit.  For tmsv the automatic
+    cutoffs leave 1.9e-9 at N_B = 1 and 4.3e-9 at N_B = 3, far below
+    Monte Carlo resolution: nearly all of it is the bath's 1e-8 thermal
+    tail, since the transmitter keeps its own tail below 1e-12 at any N_S
+    (6.4e-13 at N_S = 5).
     """
     order = np.argsort(values)
     vals = values[order]
@@ -248,20 +248,6 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     return out
 
 
-def _auto_cutoffs(cfg: ProtocolConfig):
-    d_signal = cfg.d_signal
-    if d_signal is None:
-        n = cfg.n_signal
-        d_signal = max(16, int(math.ceil(n + 10.0 * math.sqrt(n + 1.0) + 10)))
-    dim_bath = cfg.dim_bath
-    if dim_bath is None:
-        # thermal tail below 1e-8
-        ratio = cfg.n_bath / (1.0 + cfg.n_bath)
-        dim_bath = 16 if cfg.n_bath == 0 else max(
-            16, int(math.ceil(math.log(1e-8) / math.log(ratio))) + 2)
-    return d_signal, dim_bath
-
-
 @dataclass
 class ProtocolDistributions:
     """The two outcome distributions of one config, reusable across M and xi."""
@@ -276,7 +262,8 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     """Build the transmitter, the optimal observable, and the outcome
     distributions under both hypotheses.  This is the expensive part; the
     eigendecomposition runs once per configuration."""
-    d_signal, dim_bath = _auto_cutoffs(cfg)
+    d_signal = cfg.d_signal or default_cutoff(cfg.family, cfg.n_signal)
+    dim_bath = cfg.dim_bath or thermal_cutoff(cfg.n_bath, BATH_TAIL)
     state = state_from_family(cfg.family, cfg.n_signal, d_signal, phase=cfg.phase)
     rep = qfi_schmidt(state, cfg.n_bath)
     obs = sld_observable(state, cfg.n_bath, dim_bath)

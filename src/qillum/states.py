@@ -160,7 +160,7 @@ def max_entangled_fock(d: int) -> SchmidtState:
     if d < 1:
         raise ValueError("rank must be >= 1")
     return _finalize(np.full(d, 1.0 / d), None, d,
-                     {"family": "maxfock", "d": d, "n_signal": (d - 1) / 2.0})
+                     {"family": f"maxfock:{d}", "d": d, "n_signal": (d - 1) / 2.0})
 
 
 def cat_idler_eigenvalues(n_signal: float, d: int) -> np.ndarray:
@@ -188,9 +188,12 @@ def cat_state(n_signal: float, d: int, d_signal: int) -> SchmidtState:
     states on the circle |a_k|, a_k = sqrt(n_signal) e^{i 2 pi k / d},
     each tagged by an orthonormal idler label.
 
-    Returns the exact Schmidt form: probabilities are the idler
-    eigenvalues from :func:`cat_idler_eigenvalues`; the signal vectors are
-    the matched orthonormalized coherent superpositions.  The phase
+    Returns the exact Schmidt form: signal vector k is the normalized
+    residue class n = k (mod d) of the truncated coherent amplitudes c_n,
+    and its probability the class mass sum_{n < d_signal, n = k mod d}
+    |c_n|^2, so the deficit is the Poisson tail, as for :func:`coherent`.
+    These direct sums avoid the cancellation of their untruncated limit,
+    :func:`cat_idler_eigenvalues`, at small n_signal.  The phase
     convention tying signal vectors to idler eigenvectors is fixed by this
     construction (the Fisher information is invariant to it).
     """
@@ -198,24 +201,18 @@ def cat_state(n_signal: float, d: int, d_signal: int) -> SchmidtState:
         raise ValueError("mean photon number must be >= 0")
     if d < 2:
         raise ValueError("cat states need d >= 2 components")
-    lam = cat_idler_eigenvalues(n_signal, d)
     # u_k = (1/d) sum_l e^{-i 2 pi k l / d} |a_l>, the unnormalized Schmidt
     # vector, keeps the levels n = k (mod d) of |a_0>: u_k[n] = c_n [n = k mod d]
     amp = coherent_amplitudes(np.sqrt(n_signal), d_signal)
     residue = np.arange(d_signal)[:, None] % d == np.arange(d)[None, :]
     raw = np.where(residue, amp[:, None], 0.0)
-    keep = lam > PRUNE_EPS
-    lam_kept = lam[keep]
-    raw_kept = raw[:, keep]
-    norms = np.sqrt(np.sum(np.abs(raw_kept) ** 2, axis=0))
-    if np.any(norms ** 2 < 0.5 * lam_kept):
+    mass = np.sum(np.abs(raw) ** 2, axis=0)
+    lam = cat_idler_eigenvalues(n_signal, d)
+    if np.any((lam > PRUNE_EPS) & (mass < 0.5 * lam)):
         raise ValueError("signal cutoff too small to resolve a retained component")
-    vectors = raw_kept / norms
-    probs = lam_kept
-    state = SchmidtState(probs, vectors, d_signal,
-                         max(0.0, 1.0 - float(np.sum(probs * np.sum(np.abs(vectors) ** 2, axis=0)))),
-                         {"family": "cat", "n_signal": n_signal, "d": d})
-    return state
+    norms = np.sqrt(mass)
+    return _finalize(mass, raw / np.where(norms > 0, norms, 1.0), d_signal,
+                     {"family": f"cat:{d}", "n_signal": n_signal, "d": d})
 
 
 def cat_state_infinite_d(n_signal: float, d_signal: int) -> SchmidtState:
@@ -226,7 +223,7 @@ def cat_state_infinite_d(n_signal: float, d_signal: int) -> SchmidtState:
     log_p = -n_signal + n * np.log(n_signal) - _log_factorial(n) if n_signal > 0 \
         else np.where(n == 0, 0.0, -np.inf)
     return _finalize(np.exp(log_p), None, d_signal,
-                     {"family": "cat_inf", "n_signal": n_signal})
+                     {"family": "cat:inf", "n_signal": n_signal})
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:

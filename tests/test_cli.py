@@ -87,13 +87,17 @@ def test_qfi_invalid_params_exit_2(capsys):
 
 
 def test_qfi_fully_pruned_state_exits_2(capsys):
-    # every Poisson weight of cat:inf at N_S = 100 is pruned at the first
-    # cutoffs of the doubling, which must not read as a converged H = 0
+    # every Poisson weight of cat:inf at N_S = 100 is pruned at cutoff 16,
+    # which must not read as a converged H = 0
     import qillum.cli as cli
 
     assert cli.main(["qfi", "--family", "cat:inf", "--ns", "100", "--nb", "50",
-                     "--rel-tol", "1e-10"]) == 2
+                     "--cutoff", "16"]) == 2
     assert "no Schmidt term" in capsys.readouterr().err
+    # the convergence run starts from the Poisson rule, past the pruned levels
+    assert cli.main(["qfi", "--family", "cat:inf", "--ns", "100", "--nb", "50",
+                     "--rel-tol", "1e-10"]) == 0
+    assert json.loads(capsys.readouterr().out)["gain"] <= 2.0
 
 
 def test_usage_error_exits_2():
@@ -330,23 +334,24 @@ def test_validate_fast_suite(tmp_path):
 
 
 def test_bright_tmsv_nonconvergence_exits_3_quickly(capsys):
-    # the geometric tail at N_S = 1000 outruns the 32768 cutoff cap of
-    # converge_cutoff; level states make each of the doublings O(cutoff),
-    # so the verdict is fast
+    # the 1e-12 tail rule asks for more than the 32768 cutoff cap at
+    # N_S = 2000, so the convergence run stops before it starts
     import time
 
     import qillum.cli as cli
 
     start = time.perf_counter()
-    rc = cli.main(["qfi", "--family", "tmsv", "--ns", "1000", "--nb", "50",
+    rc = cli.main(["qfi", "--family", "tmsv", "--ns", "2000", "--nb", "50",
                    "--rel-tol", "1e-10"])
     assert rc == 3
     assert time.perf_counter() - start < 2.0
-    # N_S = 150 converges below that cap
-    assert cli.main(["qfi", "--family", "tmsv", "--ns", "150", "--nb", "50",
+    assert "cap 32768" in capsys.readouterr().err
+    # N_S = 1000 starts at 27647 and its clamped doubling stays within the cap
+    assert cli.main(["qfi", "--family", "tmsv", "--ns", "1000", "--nb", "50",
                      "--rel-tol", "1e-10"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    exact = 4 * 150 / 51 / (1 + (150 / 151) * (50 / 51))
+    assert payload["cutoff"] <= 32768
+    exact = 4 * 1000 / 51 / (1 + (1000 / 1001) * (50 / 51))
     assert payload["H"] == pytest.approx(exact, rel=1e-9)
 
 
@@ -362,6 +367,9 @@ def test_bright_tmsv_default_cutoff_has_one_cap(capsys):
     assert payload["H"] == pytest.approx(exact, rel=1e-8)
     assert cli.main(["qfi", "--family", "tmsv", "--ns", "2000", "--nb", "50"]) == 3
     assert "cap 32768" in capsys.readouterr().err
+    # at N_S = 1e17 the ratio N_S / (1 + N_S) rounds to 1, whose log is 0
+    assert cli.main(["qfi", "--family", "tmsv", "--ns", "1e17", "--nb", "50"]) == 3
+    assert "cap 32768" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_3(monkeypatch):
@@ -374,3 +382,48 @@ def test_nonconvergence_exits_3(monkeypatch):
     monkeypatch.setattr(cli, "_qfi_report", boom)
     rc = cli.main(["qfi", "--family", "tmsv", "--ns", "1", "--nb", "1"])
     assert rc == 3
+
+
+def test_qfi_and_simulate_share_one_cutoff_rule():
+    import qillum.cli as cli
+    from qillum.sim import ProtocolConfig, prepare_distributions
+
+    for family in ("tmsv", "coherent", "cat:2", "cat:3", "cat:inf", "maxfock:4"):
+        report = cli._qfi_report(family, 0.5, 0.1, None, 0.0)
+        cfg = ProtocolConfig(family=family, n_signal=0.5, n_bath=0.1)
+        assert prepare_distributions(cfg).state.d_signal == report.cutoff, family
+        assert report.family == family
+
+
+def test_bright_cats_converge_in_order(capsys):
+    # started at the Poisson rule, cat:2 and cat:3 resolve every component
+    # at N_S = 30 and keep the gain ordering cat:2 <= cat:inf <= tmsv
+    import qillum.cli as cli
+
+    h = {}
+    for family in ("cat:2", "cat:3", "cat:inf", "tmsv"):
+        assert cli.main(["qfi", "--family", family, "--ns", "30", "--nb", "50",
+                         "--rel-tol", "1e-10"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["family"] == family
+        h[family] = payload["H"]
+    assert h["cat:2"] <= h["cat:inf"] * (1 + 1e-9)
+    assert h["cat:3"] <= h["cat:inf"] * (1 + 1e-9)
+    assert h["cat:inf"] <= h["tmsv"] * (1 + 1e-9)
+
+
+def test_simulate_bath_beyond_the_cap_exits_3_before_spectral_work(tmp_path, capsys,
+                                                                     monkeypatch):
+    import qillum.cli as cli
+    import qillum.sim as sim
+
+    def spectral(*args, **kwargs):
+        raise AssertionError("spectral work started")
+
+    for name in ("sld_observable", "received_state"):
+        monkeypatch.setattr(sim, name, spectral)
+    cfg = tmp_path / "bright.json"
+    cfg.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 2000.0,
+                               "eta": 0.1, "m": 50, "xi": 0.5, "trials": 200}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 3
+    assert "cap 32768" in capsys.readouterr().err

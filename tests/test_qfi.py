@@ -251,6 +251,22 @@ def test_converge_cutoff_exhaustion():
         converge_cutoff(lambda d: math.log(d), rel_tol=1e-12, max_cutoff=64, start=8)
 
 
+def test_converge_cutoff_clamps_the_last_doubling():
+    seen = []
+
+    def never(d):
+        seen.append(d)
+        return float(len(seen))
+
+    with pytest.raises(ConvergenceError):
+        converge_cutoff(never, rel_tol=1e-6, max_cutoff=100, start=24)
+    assert seen == [24, 48, 96, 100]
+    seen.clear()
+    with pytest.raises(ConvergenceError):
+        converge_cutoff(never, rel_tol=1e-6, max_cutoff=100, start=150)
+    assert seen == [100]
+
+
 def test_report_serialization():
     rep = qfi_schmidt(tmsv(1.0, 40), 50.0)
     payload = rep.to_json_dict()

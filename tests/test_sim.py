@@ -69,6 +69,15 @@ def coherent_setup():
     return cfg, prepare_distributions(cfg)
 
 
+def test_bright_tmsv_keeps_its_tail():
+    # the transmitter rule keeps the geometric tail below 1e-12 at N_S = 5;
+    # weighted by levels up to the cutoff 154, it moves H by 2e-11
+    cfg = ProtocolConfig(family="tmsv", n_signal=5.0, n_bath=1.0)
+    dists = prepare_distributions(cfg)
+    assert dists.state.deficit <= 1e-12
+    assert dists.h == pytest.approx(qfi_gaussian_closed(5.0, 1.0), rel=1e-10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(xi=0.0)

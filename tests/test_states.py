@@ -136,6 +136,27 @@ def test_cat_vectors_live_on_residue_classes():
         assert_valid_schmidt(st)
 
 
+def test_cat_deficit_is_the_poisson_tail():
+    # the lost mass is reported, as for a coherent transmitter, not
+    # renormalized into the weights
+    for d in (2, 3):
+        for ns in (0.5, 5.0):
+            st = cat_state(ns, d, 16)
+            tail = 1.0 - math.fsum(poisson_pmf(ns, n) for n in range(16))
+            assert st.deficit == pytest.approx(tail, rel=1e-6)
+            assert st.deficit == pytest.approx(coherent(ns, 0.0, 16).deficit, rel=1e-9)
+            assert_valid_schmidt(st)
+
+
+def test_cat_weights_are_the_class_sums():
+    # at N_S = 1e-3 the idler-eigenvalue formula cancels O(1) terms; the
+    # weights are the direct Poisson class sums
+    ns, d = 1e-3, 4
+    st = cat_state(ns, d, 32)
+    sums = [math.fsum(poisson_pmf(ns, n) for n in range(k, 32, d)) for k in range(d)]
+    assert np.allclose(st.probs, sums, rtol=1e-14, atol=0.0)
+
+
 def test_cat_mean_photons():
     st = cat_state(0.7, 3, 30)
     assert st.mean_photons() == pytest.approx(0.7, abs=1e-9)
@@ -222,8 +243,10 @@ def test_state_from_family_labels():
     assert state_from_family("tmsv", 0.5, 20).meta["family"] == "tmsv"
     assert state_from_family("coherent", 0.5, 20).meta["family"] == "coherent"
     assert state_from_family("cat:3", 0.5, 20).meta["d"] == 3
-    assert state_from_family("cat:inf", 0.5, 20).meta["family"] == "cat_inf"
+    assert state_from_family("cat:3", 0.5, 20).meta["family"] == "cat:3"
+    assert state_from_family("cat:inf", 0.5, 20).meta["family"] == "cat:inf"
     assert state_from_family("maxfock:4", 0.0, 20).rank == 4
+    assert state_from_family("maxfock:4", 0.0, 20).meta["family"] == "maxfock:4"
     for bad in ("squeezed", "cat:x", "cat:", "maxfock:inf", "tmsv:2", 2):
         with pytest.raises(ValueError, match="unknown family"):
             state_from_family(bad, 0.5, 20)
