@@ -66,6 +66,7 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
     if rel_tol is not None and not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
 
+    @functools.cache   # the converged cutoff is evaluated once, by converge_cutoff
     def report(d_signal):
         return qfi_schmidt(state_from_family(family, n_signal, d_signal, phase=phase), n_bath)
 

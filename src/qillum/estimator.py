@@ -9,7 +9,8 @@ reflectivity, which makes the detection threshold scale well defined.
 
 Received states are gathered block by block without any joint buffer:
 U conserves the excitation number, so each entry of the factor z with
-rho = z z' is one U element times one transmitter amplitude.
+rho = z z' is one element of the beamsplitter array u[N, j, i] times one
+transmitter amplitude.
 
 The observable and the received states are block lists (see
 :mod:`qillum.fock`) over sectors fixed by conserved quantities.  For a
@@ -24,14 +25,16 @@ forms it reduces to for coherent and tmsv transmitters are test oracles.
 The reflectivity derivative of the received state is a block list on the
 same sectors, from the same ladder builder as the SLD.  Every trace
 against the observable (outcome probabilities, moments Tr(X O^k)) is read
-from one diagonal <o_i|X|o_i> in its eigenbasis.
+from one diagonal <o_i|X|o_i> in its eigenbasis.  Outcomes are listed in
+block order, each block's eigenvalues ascending; no consumer relies on a
+global order (sampling sorts the values itself).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +48,12 @@ from .states import SchmidtState
 class ObservableSpectrum:
     """Spectral form of the optimal observable built by :func:`sld_observable`."""
 
-    eigenvalues: np.ndarray      # real, descending
-    eigenvectors: list           # (rows, columns, positions) per block, see eig_hermitian
+    spectra: list                # (rows, eigenvalues, eigenvectors) per block, see eig_hermitian
     blocks: list                 # the observable itself as (rows, block) pairs
+    eigenvalues: np.ndarray = field(init=False)   # the spectra's, in block order
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
+    def __post_init__(self):
+        self.eigenvalues = np.concatenate([lam for _, lam, _ in self.spectra])
 
 
 @dataclass
@@ -60,7 +62,6 @@ class OutcomeDistribution:
 
     values: np.ndarray
     probabilities: np.ndarray
-    eta: float
     deficit: float
 
     def mean(self) -> float:
@@ -120,7 +121,7 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
     scale = -2.0 / (rep.h * (1.0 + n_bath))
     blocks = [(rows, x * scale)
               for rows, x in _ladder_blocks(state, dim_bath, np.conj(c), np.ones(dim_bath))]
-    return ObservableSpectrum(*eig_hermitian(blocks), blocks)
+    return ObservableSpectrum(eig_hermitian(blocks), blocks)
 
 
 def _sectors(state: SchmidtState, dim_bath: int) -> list:
@@ -160,30 +161,22 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     factor of the bath-level components pushed through the beamsplitter U.
     U conserves n_s + n_b, so z[(a, n), (j, k)] = sqrt(p_a) w_a[i]
     sqrt(rho_k) <j, n|U|i, k> with i = j + n - k (zero outside the signal
-    cutoff).  Each sector q (see :func:`_sectors`) gathers its z_q from U's
-    excitation blocks.  The total trace deficit combines the
+    cutoff).  Each sector q (see :func:`_sectors`) gathers its z_q from
+    U's array u[j + n, j, i].  The total trace deficit combines the
     transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal
     sqrt_rho = np.sqrt(thermal_weights(n_bath, dim_bath))
     w = state.vectors * np.sqrt(state.probs)[None, :]
-    # U's sector blocks padded to one width: <x|U|x'> = u[start[x] + pos[x']]
-    bs = beamsplitter_unitary(eta, d_s, dim_bath)
-    width = max(len(idx) for idx, _ in bs)
-    u = np.zeros((len(bs), width, width), dtype=np.complex128)
-    pos, start = np.empty((2, d_s * dim_bath), dtype=np.int64)
-    for s, (idx, block) in enumerate(bs):
-        u[s, :len(idx), :len(idx)] = block
-        pos[idx] = np.arange(len(idx))
-        start[idx] = (s * width + pos[idx]) * width
+    u = beamsplitter_unitary(eta, d_s, dim_bath).ravel()
     blocks = []
     for rows, cols in _sectors(state, dim_bath):
         a, n = np.divmod(rows[:, None], dim_bath)
         j, k = np.divmod(cols[None, :], dim_bath)
         i = j + n - k   # the input signal level, wrapped in range and zeroed out of it
         iw = i % d_s
-        zb = w[iw, a] * sqrt_rho[k] * u.ravel()[start[j * dim_bath + n]
-                                                + pos[iw * dim_bath + k]]
+        # one flat index into u[j + n, j, iw] reads faster than three
+        zb = w[iw, a] * sqrt_rho[k] * u[((j + n) * d_s + j) * d_s + iw]
         zb[iw != i] = 0.0
         block = zb @ zb.conj().T
         blocks.append((rows, 0.5 * (block + block.conj().T)))
@@ -214,14 +207,12 @@ def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
 
 def _eigen_diagonal(blocks, obs: ObservableSpectrum) -> np.ndarray:
     """<o_i|X|o_i> of a block list X on the observable's rows, in the
-    observable's eigenvalue order."""
-    if len(blocks) != len(obs.eigenvectors) or not all(
-            np.array_equal(rows, own) for (rows, _), (own, _, _) in zip(blocks, obs.eigenvectors)):
+    order of ``obs.eigenvalues``."""
+    if len(blocks) != len(obs.spectra) or not all(
+            np.array_equal(rows, own) for (rows, _), (own, _, _) in zip(blocks, obs.spectra)):
         raise ValueError("operator blocks do not match the observable's")
-    diag = np.empty(obs.dim)
-    for (_, x), (_, vec, pos) in zip(blocks, obs.eigenvectors):
-        diag[pos] = np.real(np.einsum("ij,ij->j", vec.conj(), x @ vec))
-    return diag
+    return np.concatenate([np.real(np.einsum("ij,ij->j", vec.conj(), x @ vec))
+                           for (_, x), (_, _, vec) in zip(blocks, obs.spectra)])
 
 
 def trace_moments(blocks, obs: ObservableSpectrum, k_max: int) -> list:
@@ -230,17 +221,13 @@ def trace_moments(blocks, obs: ObservableSpectrum, k_max: int) -> list:
     return [float(np.dot(obs.eigenvalues ** k, diag)) for k in range(1, k_max + 1)]
 
 
-def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum,
-                         eta: float = 0.0) -> OutcomeDistribution:
-    """Projective outcome distribution p_i = <o_i| rho |o_i>.
-
-    ``eta`` is carried along as a label of the reflectivity the state was
-    prepared at; it does not enter the computation.
-    """
+def outcome_distribution(rho: DensityOperator, obs: ObservableSpectrum) -> OutcomeDistribution:
+    """Projective outcome distribution p_i = <o_i| rho |o_i>, with the
+    outcomes in the order of ``obs.eigenvalues``."""
     probs = _eigen_diagonal(rho.blocks, obs)
     if probs.min() < -1e-10:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    return OutcomeDistribution(obs.eigenvalues.copy(), probs, eta, rho.trace_deficit)
+    return OutcomeDistribution(obs.eigenvalues.copy(), probs, rho.trace_deficit)
 
 
 def signal_antinormal_moments(state: SchmidtState, k_max: int) -> list:

@@ -4,8 +4,11 @@ A block list is a list of ``(rows, block)`` pairs, one per sector of a
 conserved quantity (:func:`group_indices` groups joint indices by its
 value): ``block`` is the square complex128 matrix on the indices
 ``rows``, and entries between sectors are zero and never stored.  The
-beamsplitter, received states (:class:`DensityOperator`) and the
-estimator observable (:func:`eig_hermitian`) share this one format.
+Hermitian operators share this one format: received states
+(:class:`DensityOperator`), the estimator observable
+(:func:`eig_hermitian`) and the reflectivity derivative of the received
+state.  The beamsplitter U is one array ``u[N, j, i]`` over its
+excitation sectors N (:func:`beamsplitter_unitary`).
 No single-mode operator is built here: a ladder enters only as the
 entries of the blocks that use it (the beamsplitter chains below, the
 estimator's sector blocks in :mod:`qillum.estimator`).
@@ -100,51 +103,43 @@ def group_indices(keys) -> dict:
     return {int(keys[g[0]]): g for g in groups}
 
 
-def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> list:
+def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarray:
     """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath
-    mode, as the block list of its excitation sectors.
+    mode, as the array u[N, j, i] = <j, N - j|U|i, N - i> of shape
+    (dim_signal + dim_bath - 1, dim_signal, dim_signal).
 
-    The generator conserves the excitation number N = n_s + n_b, so the
-    joint indices i * dim_bath + j with i + j = N form one block, a
-    tridiagonal chain exponentiated through the eigendecomposition of its
-    Hermitian form, unitary up to eigensolver accuracy; at eta = 0 every
-    block is the exact identity and no eigensolver runs.  Rows in
-    incomplete sectors (N >= min(dim_signal, dim_bath)) remain unitary
-    but no longer represent the physical beamsplitter; keep those
+    The generator conserves the excitation number N = n_s + n_b, so each
+    sector N is one block on the signal levels max(0, N - dim_bath + 1)
+    to min(N, dim_signal - 1), a tridiagonal chain exponentiated through
+    the eigendecomposition of its Hermitian form, unitary up to
+    eigensolver accuracy; entries outside that range are zero.  At
+    eta = 0 every block is the exact identity and no eigensolver runs.
+    Rows in incomplete sectors (N >= min(dim_signal, dim_bath)) remain
+    unitary but no longer represent the physical beamsplitter; keep those
     amplitudes negligible by choosing cutoffs with headroom.
     """
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
-    sectors = group_indices(np.add.outer(np.arange(dim_signal), np.arange(dim_bath))).values()
-    if theta == 0.0:
-        return [(idx, np.eye(len(idx), dtype=np.complex128)) for idx in sectors]
-    blocks = []
-    for idx in sectors:
-        i, j = np.divmod(idx[1:], dim_bath)
-        # s'b - sb' is real and antisymmetric: <i,j|s'b|i-1,j+1> = sqrt(i (j+1))
-        link = np.sqrt(i) * np.sqrt(j + 1)
-        k = np.diag(link, -1) - np.diag(link, 1)
-        lam, vec = np.linalg.eigh(1j * k)
-        # 1 + V (e^{-i theta lam} - 1) V', accurate at small theta
-        blocks.append((idx, np.eye(len(idx))
-                       + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T))
-    return blocks
+    u = np.zeros((dim_signal + dim_bath - 1, dim_signal, dim_signal), dtype=np.complex128)
+    for n in range(len(u)):
+        lo, hi = max(0, n - dim_bath + 1), min(n, dim_signal - 1) + 1
+        block = np.eye(hi - lo)
+        if theta != 0.0:
+            i = np.arange(lo + 1, hi)
+            # s'b - sb' is real and antisymmetric: <i,j|s'b|i-1,j+1> = sqrt(i (j+1))
+            link = np.sqrt(i) * np.sqrt(n - i + 1)
+            k = np.diag(link, -1) - np.diag(link, 1)
+            lam, vec = np.linalg.eigh(1j * k)
+            # 1 + V (e^{-i theta lam} - 1) V', accurate at small theta
+            block = block + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T
+        u[n, lo:hi, lo:hi] = block
+    return u
 
 
-def eig_hermitian(blocks):
-    """Spectrum of a Hermitian block list: the eigenvalues in descending
-    order, and for each block (rows, eigenvector columns, positions), where
-    column j is orthonormal on ``rows`` and its eigenvalue is
-    ``eigenvalues[positions[j]]``.  A non-Hermitian block raises ValueError.
-
-    Equal eigenvalues are ordered by descending row.
-    """
-    blocks = _hermitian(blocks)
-    eig = [np.linalg.eigh(block) for _, block in blocks]
-    lam = np.concatenate([w for w, _ in eig])
-    order = np.lexsort((np.concatenate([rows for rows, _ in blocks]), lam))[::-1]
-    position = np.split(np.argsort(order), np.cumsum([len(w) for w, _ in eig])[:-1])
-    # each block's columns in descending order, as in the global order
-    return lam[order], [(rows, vec[:, ::-1], pos[::-1])
-                        for (rows, _), (_, vec), pos in zip(blocks, eig, position)]
+def eig_hermitian(blocks) -> list:
+    """Spectrum of a Hermitian block list: (rows, eigenvalues, eigenvector
+    columns) per block, in ``np.linalg.eigh``'s ascending order, with each
+    column orthonormal on ``rows``.  A non-Hermitian block raises
+    ValueError."""
+    return [(rows, *np.linalg.eigh(m)) for rows, m in _hermitian(blocks)]

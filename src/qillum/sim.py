@@ -269,8 +269,8 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     obs = sld_observable(state, cfg.n_bath, dim_bath)
     rho0 = received_state(state, cfg.n_bath, 0.0, dim_bath)
     rho1 = received_state(state, cfg.n_bath, cfg.eta, dim_bath)
-    d0 = outcome_distribution(rho0, obs, eta=0.0)
-    d1 = outcome_distribution(rho1, obs, eta=cfg.eta)
+    d0 = outcome_distribution(rho0, obs)
+    d1 = outcome_distribution(rho1, obs)
     return ProtocolDistributions(state, rep.h, d0, d1)
 
 

@@ -20,13 +20,29 @@ def dense(blocks):
     return out
 
 
-def dense_basis(eigenvectors):
-    """Eigenvector columns in eigenvalue order, from the (rows, columns,
-    positions) list that ``eig_hermitian`` returns."""
-    dim = sum(len(rows) for rows, _, _ in eigenvectors)
+def dense_unitary(u):
+    """The (signal x bath) matrix of a beamsplitter array
+    u[N, j, i] = <j, N - j|U|i, N - i>, zero between sectors."""
+    sectors, d_s, _ = u.shape
+    d_b = sectors - d_s + 1
+    out = np.zeros((d_s * d_b, d_s * d_b), dtype=np.complex128)
+    for n in range(sectors):
+        levels = np.arange(max(0, n - d_b + 1), min(n, d_s - 1) + 1)
+        idx = levels * d_b + n - levels
+        out[np.ix_(idx, idx)] = u[n][np.ix_(levels, levels)]
+    return out
+
+
+def dense_basis(spectra):
+    """Eigenvector columns in block order, the order of the concatenated
+    eigenvalues, from the (rows, eigenvalues, eigenvectors) list that
+    ``eig_hermitian`` returns."""
+    dim = sum(len(rows) for rows, _, _ in spectra)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for rows, vec, pos in eigenvectors:
-        out[np.ix_(rows, pos)] = vec
+    col = 0
+    for rows, _, vec in spectra:
+        out[rows, col:col + len(rows)] = vec
+        col += len(rows)
     return out
 
 

@@ -321,6 +321,32 @@ def test_qfi_rel_tol_autoconverge():
     assert payload["cutoff"] > 60
 
 
+def test_qfi_rel_tol_evaluates_each_cutoff_once(monkeypatch, capsys):
+    import qillum.cli as cli
+    from qillum import qfi
+
+    calls, evals = [], []
+    qfi_schmidt, converge_cutoff = cli.qfi_schmidt, qfi.converge_cutoff
+
+    def counting_qfi(state, n_bath):
+        calls.append(state.d_signal)
+        return qfi_schmidt(state, n_bath)
+
+    def counting_converge(f, *args, **kwargs):
+        return converge_cutoff(lambda d: evals.append(d) or f(d), *args, **kwargs)
+
+    monkeypatch.setattr(cli, "qfi_schmidt", counting_qfi)
+    monkeypatch.setattr(qfi, "converge_cutoff", counting_converge)
+    for family in ("tmsv", "coherent", "cat:2"):
+        calls.clear()
+        evals.clear()
+        assert cli.main(["qfi", "--family", family, "--ns", "5", "--nb", "50",
+                         "--rel-tol", "1e-8"]) == 0
+        assert json.loads(capsys.readouterr().out)["cutoff"] == evals[-1]
+        assert len(evals) >= 2
+        assert calls == evals
+
+
 @pytest.mark.slow
 def test_validate_fast_suite(tmp_path):
     summary_path = tmp_path / "summary.json"

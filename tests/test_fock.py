@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense import annihilation, dense, dense_basis, one_block
+from dense import annihilation, dense, dense_basis, dense_unitary, one_block
 
 from qillum.fock import (DensityOperator, DimensionError, beamsplitter_unitary,
                          eig_hermitian, thermal_weights)
@@ -67,13 +67,13 @@ def test_thermal_ratio_exact():
 
 
 def test_beamsplitter_zero_is_identity():
-    u = dense(beamsplitter_unitary(0.0, 6, 6))
+    u = dense_unitary(beamsplitter_unitary(0.0, 6, 6))
     assert np.array_equal(u, np.eye(36))
 
 
 def test_beamsplitter_full_reflection_swaps():
     d = 5
-    u = dense(beamsplitter_unitary(1.0, d, d))
+    u = dense_unitary(beamsplitter_unitary(1.0, d, d))
     vec = np.zeros(d * d)
     vec[1 * d + 0] = 1.0  # |1, 0>
     out = u @ vec
@@ -88,13 +88,13 @@ def test_beamsplitter_unitarity():
     # exact exponential through the eigendecomposition keeps even the
     # boundary rows unitary; physical fidelity (not unitarity) is what
     # degrades in incomplete total-excitation sectors
-    u = dense(beamsplitter_unitary(0.01, 12, 12))
+    u = dense_unitary(beamsplitter_unitary(0.01, 12, 12))
     assert np.abs(u.conj().T @ u - np.eye(144)).max() < 1e-10
 
 
 def test_beamsplitter_inverse_pair():
-    u = dense(beamsplitter_unitary(0.3, 10, 10))
-    v = dense(beamsplitter_unitary(-0.3, 10, 10))
+    u = dense_unitary(beamsplitter_unitary(0.3, 10, 10))
+    v = dense_unitary(beamsplitter_unitary(-0.3, 10, 10))
     assert np.abs(u @ v - np.eye(100)).max() < 1e-9
 
 
@@ -104,18 +104,43 @@ def test_beamsplitter_rejects_bad_reflectivity():
 
 
 def test_operators_are_complex128_arrays():
-    assert all(u.dtype == np.complex128 for _, u in beamsplitter_unitary(0.2, 4, 3))
+    assert beamsplitter_unitary(0.2, 4, 3).dtype == np.complex128
 
 
-def test_eig_descending_diag():
-    lam, _ = eig_hermitian(one_block(np.diag([3.0, 1.0, 2.0])))
-    assert np.array_equal(lam, [3.0, 2.0, 1.0])
+def test_beamsplitter_array_shape_and_sectors():
+    # u[N, j, i] has shape (d_s + d_b - 1, d_s, d_s) and is zero outside
+    # the signal levels max(0, N - d_b + 1) .. min(N, d_s - 1)
+    for eta, d_s, d_b in ((0.0, 4, 3), (0.2, 4, 3), (0.5, 3, 7)):
+        u = beamsplitter_unitary(eta, d_s, d_b)
+        assert u.shape == (d_s + d_b - 1, d_s, d_s)
+        for n in range(len(u)):
+            inside = np.zeros(d_s, bool)
+            inside[max(0, n - d_b + 1):min(n, d_s - 1) + 1] = True
+            assert not u[n][~np.outer(inside, inside)].any()
+            assert np.abs(u[n][np.ix_(inside, inside)]).max() > 0
+
+
+def test_eig_is_eigh_per_block():
+    # (rows, eigenvalues, eigenvectors) per block, in block order, each
+    # exactly np.linalg.eigh of its block: ascending, no global order
+    blocks = [(np.array([0, 2, 4]), np.diag([3.0, 1.0, 2.0])),
+              (np.array([1, 3]), np.array([[0.0, 2.0], [2.0, 0.0]]))]
+    spectra = eig_hermitian(blocks)
+    assert len(spectra) == 2
+    for (rows, block), (own, lam, vec) in zip(blocks, spectra):
+        ref_lam, ref_vec = np.linalg.eigh(block.astype(np.complex128))
+        assert own is rows
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(vec, ref_vec)
+    assert np.array_equal(spectra[0][1], [1.0, 2.0, 3.0])
+    assert np.array_equal(spectra[1][1], [-2.0, 2.0])
 
 
 def test_eig_pauli_x():
-    lam, vecs = eig_hermitian(one_block(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    vecs = eig_hermitian(one_block(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    [(_, lam, _)] = vecs
     vec = dense_basis(vecs)
-    assert np.allclose(lam, [1.0, -1.0])
+    assert np.allclose(lam, [-1.0, 1.0])
     assert np.allclose(np.abs(vec), 1 / np.sqrt(2))
 
 
@@ -123,12 +148,13 @@ def test_eig_reconstruction_random():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     h = 0.5 * (x + x.conj().T)
-    lam, vecs = eig_hermitian(one_block(h))
+    vecs = eig_hermitian(one_block(h))
+    [(_, lam, _)] = vecs
     vec = dense_basis(vecs)
     recon = (vec * lam) @ vec.conj().T
     assert np.abs(recon - h).max() < 1e-9
     assert np.abs(vec.conj().T @ vec - np.eye(20)).max() < 1e-10
-    assert np.all(np.diff(lam) <= 1e-12)
+    assert np.all(np.diff(lam) >= -1e-12)
 
 
 def test_eig_rejects_non_hermitian():

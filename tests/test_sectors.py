@@ -11,7 +11,7 @@ blocks, which the block lists leave out.
 """
 
 import numpy as np
-from dense import annihilation, dense
+from dense import annihilation, dense, dense_unitary
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -93,7 +93,7 @@ def assert_same_distribution(values, probs, ref_values, ref_probs):
 
 def test_beamsplitter_matches_dense_expm():
     for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9)):
-        u = dense(beamsplitter_unitary(eta, d_s, d_b))
+        u = dense_unitary(beamsplitter_unitary(eta, d_s, d_b))
         assert np.abs(u - dense_beamsplitter(eta, d_s, d_b)).max() < 1e-12
 
 
@@ -123,7 +123,8 @@ def test_outcome_distributions_match_dense_route(family, n_signal, n_bath, eta,
         state = state_from_family(label, n_signal, d_signal)
     obs = sld_observable(state, n_bath, dim_bath)
     ref_obs = dense_sld(state, n_bath, dim_bath)
-    inside = np.zeros((obs.dim, obs.dim), dtype=bool)
+    dim = len(obs.eigenvalues)
+    inside = np.zeros((dim, dim), dtype=bool)
     for rows, _ in obs.blocks:
         inside[np.ix_(rows, rows)] = True
     assert np.abs(ref_obs[~inside]).max(initial=0.0) <= 1e-15

@@ -224,6 +224,20 @@ def test_sample_means_many_outcomes_match_binary_search_oracle():
     assert np.array_equal(sample_means(values, probs, 7, 5000, seed=8, stream=1), expected)
 
 
+def test_sample_means_ignores_outcome_order():
+    # outcome distributions list their outcomes in block order, an
+    # implementation detail: for distinct values any joint permutation of
+    # (values, probabilities) draws the same means, bit for bit
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=3000)
+    probs = rng.random(3000)
+    assert len(np.unique(values)) == len(values)
+    expected = sample_means(values, probs, 7, 3000, seed=6, stream=3)
+    for perm in (np.argsort(values), np.argsort(values)[::-1], rng.permutation(3000)):
+        assert np.array_equal(sample_means(values[perm], probs[perm], 7, 3000, seed=6,
+                                           stream=3), expected)
+
+
 def test_sample_means_clamps_negative_probabilities():
     values = np.array([-1.0, 0.0, 0.5, 2.0])
     probs = np.array([0.3, -0.05, 0.4, 0.3])
