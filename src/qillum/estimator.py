@@ -9,8 +9,8 @@ reflectivity, which makes the detection threshold scale well defined.
 
 Received states are gathered block by block without any joint buffer:
 U conserves the excitation number, so each entry of the factor z with
-rho = z z' is one element of the beamsplitter array u[N, j, i] times one
-transmitter amplitude.
+rho = z z' is one element of the beamsplitter array u[N, j - lo, i - lo]
+times one transmitter amplitude.
 
 The observable and the received states are block lists (see
 :mod:`qillum.fock`) over sectors fixed by conserved quantities.  For a
@@ -162,10 +162,13 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     U conserves n_s + n_b, so z[(a, n), (j, k)] = sqrt(p_a) w_a[i]
     sqrt(rho_k) <j, n|U|i, k> with i = j + n - k (zero outside the signal
     cutoff).  Each sector q (see :func:`_sectors`) gathers its z_q from
-    U's array u[j + n, j, i].  The total trace deficit combines the
+    U's array u[j + n, j - lo, i - lo], where lo = max(0, j + n - dim_bath
+    + 1) makes j - lo = min(j, dim_bath - 1 - n) and i - lo = min(i,
+    dim_bath - 1 - k).  The total trace deficit combines the
     transmitter's truncation with the thermal tail.
     """
     d_s = state.d_signal
+    width = min(d_s, dim_bath)
     sqrt_rho = np.sqrt(thermal_weights(n_bath, dim_bath))
     w = state.vectors * np.sqrt(state.probs)[None, :]
     u = beamsplitter_unitary(eta, d_s, dim_bath).ravel()
@@ -175,8 +178,11 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
         j, k = np.divmod(cols[None, :], dim_bath)
         i = j + n - k   # the input signal level, wrapped in range and zeroed out of it
         iw = i % d_s
-        # one flat index into u[j + n, j, iw] reads faster than three
-        zb = w[iw, a] * sqrt_rho[k] * u[((j + n) * d_s + j) * d_s + iw]
+        # one flat index into u[j + n, j - lo, iw - lo] reads faster than
+        # three; both offsets lie in [0, width), so a wrapped iw stays in
+        # sector j + n
+        flat = ((j + n) * width + np.minimum(j, dim_bath - 1 - n)) * width
+        zb = w[iw, a] * sqrt_rho[k] * u[flat + np.minimum(iw, dim_bath - 1 - k)]
         zb[iw != i] = 0.0
         block = zb @ zb.conj().T
         blocks.append((rows, 0.5 * (block + block.conj().T)))

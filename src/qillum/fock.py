@@ -7,8 +7,9 @@ value): ``block`` is the square complex128 matrix on the indices
 Hermitian operators share this one format: received states
 (:class:`DensityOperator`), the estimator observable
 (:func:`eig_hermitian`) and the reflectivity derivative of the received
-state.  The beamsplitter U is one array ``u[N, j, i]`` over its
-excitation sectors N (:func:`beamsplitter_unitary`).
+state.  The beamsplitter U is one array ``u[N, j - lo, i - lo]`` over
+its excitation sectors N, offset by each sector's lowest signal level lo
+(:func:`beamsplitter_unitary`).
 No single-mode operator is built here: a ladder enters only as the
 entries of the blocks that use it (the beamsplitter chains below, the
 estimator's sector blocks in :mod:`qillum.estimator`).
@@ -105,15 +106,17 @@ def group_indices(keys) -> dict:
 
 def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarray:
     """Beamsplitter exp[asin(eta) (s'b - s b')] mixing signal into the bath
-    mode, as the array u[N, j, i] = <j, N - j|U|i, N - i> of shape
-    (dim_signal + dim_bath - 1, dim_signal, dim_signal).
+    mode, as the array u[N, j - lo, i - lo] = <j, N - j|U|i, N - i> of
+    shape (dim_signal + dim_bath - 1, w, w) with w = min(dim_signal,
+    dim_bath).
 
     The generator conserves the excitation number N = n_s + n_b, so each
-    sector N is one block on the signal levels max(0, N - dim_bath + 1)
-    to min(N, dim_signal - 1), a tridiagonal chain exponentiated through
-    the eigendecomposition of its Hermitian form, unitary up to
-    eigensolver accuracy; entries outside that range are zero.  At
-    eta = 0 every block is the exact identity and no eigensolver runs.
+    sector N is one block on the signal levels lo = max(0, N - dim_bath
+    + 1) to min(N, dim_signal - 1), at most w of them, a tridiagonal
+    chain exponentiated through the eigendecomposition of its Hermitian
+    form, unitary up to eigensolver accuracy; entries past the block are
+    zero.  At eta = 0 every block is the exact identity and no
+    eigensolver runs.
     Rows in incomplete sectors (N >= min(dim_signal, dim_bath)) remain
     unitary but no longer represent the physical beamsplitter; keep those
     amplitudes negligible by choosing cutoffs with headroom.
@@ -121,7 +124,8 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarr
     if abs(eta) > 1.0:
         raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
     theta = float(np.arcsin(eta))
-    u = np.zeros((dim_signal + dim_bath - 1, dim_signal, dim_signal), dtype=np.complex128)
+    width = min(dim_signal, dim_bath)
+    u = np.zeros((dim_signal + dim_bath - 1, width, width), dtype=np.complex128)
     for n in range(len(u)):
         lo, hi = max(0, n - dim_bath + 1), min(n, dim_signal - 1) + 1
         block = np.eye(hi - lo)
@@ -133,7 +137,7 @@ def beamsplitter_unitary(eta: float, dim_signal: int, dim_bath: int) -> np.ndarr
             lam, vec = np.linalg.eigh(1j * k)
             # 1 + V (e^{-i theta lam} - 1) V', accurate at small theta
             block = block + (vec * np.expm1(-1j * theta * lam)) @ vec.conj().T
-        u[n, lo:hi, lo:hi] = block
+        u[n, :hi - lo, :hi - lo] = block
     return u
 
 

@@ -20,16 +20,16 @@ def dense(blocks):
     return out
 
 
-def dense_unitary(u):
+def dense_unitary(u, d_s):
     """The (signal x bath) matrix of a beamsplitter array
-    u[N, j, i] = <j, N - j|U|i, N - i>, zero between sectors."""
-    sectors, d_s, _ = u.shape
-    d_b = sectors - d_s + 1
+    u[N, j - lo, i - lo] = <j, N - j|U|i, N - i> with signal cutoff d_s,
+    where lo = max(0, N - d_b + 1); zero between sectors."""
+    d_b = len(u) - d_s + 1
     out = np.zeros((d_s * d_b, d_s * d_b), dtype=np.complex128)
-    for n in range(sectors):
+    for n in range(len(u)):
         levels = np.arange(max(0, n - d_b + 1), min(n, d_s - 1) + 1)
         idx = levels * d_b + n - levels
-        out[np.ix_(idx, idx)] = u[n][np.ix_(levels, levels)]
+        out[np.ix_(idx, idx)] = u[n, :len(levels), :len(levels)]
     return out
 
 

@@ -67,13 +67,13 @@ def test_thermal_ratio_exact():
 
 
 def test_beamsplitter_zero_is_identity():
-    u = dense_unitary(beamsplitter_unitary(0.0, 6, 6))
+    u = dense_unitary(beamsplitter_unitary(0.0, 6, 6), 6)
     assert np.array_equal(u, np.eye(36))
 
 
 def test_beamsplitter_full_reflection_swaps():
     d = 5
-    u = dense_unitary(beamsplitter_unitary(1.0, d, d))
+    u = dense_unitary(beamsplitter_unitary(1.0, d, d), d)
     vec = np.zeros(d * d)
     vec[1 * d + 0] = 1.0  # |1, 0>
     out = u @ vec
@@ -88,13 +88,13 @@ def test_beamsplitter_unitarity():
     # exact exponential through the eigendecomposition keeps even the
     # boundary rows unitary; physical fidelity (not unitarity) is what
     # degrades in incomplete total-excitation sectors
-    u = dense_unitary(beamsplitter_unitary(0.01, 12, 12))
+    u = dense_unitary(beamsplitter_unitary(0.01, 12, 12), 12)
     assert np.abs(u.conj().T @ u - np.eye(144)).max() < 1e-10
 
 
 def test_beamsplitter_inverse_pair():
-    u = dense_unitary(beamsplitter_unitary(0.3, 10, 10))
-    v = dense_unitary(beamsplitter_unitary(-0.3, 10, 10))
+    u = dense_unitary(beamsplitter_unitary(0.3, 10, 10), 10)
+    v = dense_unitary(beamsplitter_unitary(-0.3, 10, 10), 10)
     assert np.abs(u @ v - np.eye(100)).max() < 1e-9
 
 
@@ -108,14 +108,17 @@ def test_operators_are_complex128_arrays():
 
 
 def test_beamsplitter_array_shape_and_sectors():
-    # u[N, j, i] has shape (d_s + d_b - 1, d_s, d_s) and is zero outside
-    # the signal levels max(0, N - d_b + 1) .. min(N, d_s - 1)
-    for eta, d_s, d_b in ((0.0, 4, 3), (0.2, 4, 3), (0.5, 3, 7)):
+    # u[N, j - lo, i - lo] has shape (d_s + d_b - 1, w, w), w = min(d_s, d_b),
+    # and sector N fills its leading min(N, d_s - 1) + 1 - lo rows and
+    # columns, lo = max(0, N - d_b + 1), with zeros past them
+    for eta, d_s, d_b in ((0.0, 4, 3), (0.2, 4, 3), (0.5, 3, 7), (0.3, 40, 8)):
         u = beamsplitter_unitary(eta, d_s, d_b)
-        assert u.shape == (d_s + d_b - 1, d_s, d_s)
+        width = min(d_s, d_b)
+        assert u.shape == (d_s + d_b - 1, width, width)
+        assert u.nbytes <= 16 * (d_s + d_b - 1) * width ** 2
         for n in range(len(u)):
-            inside = np.zeros(d_s, bool)
-            inside[max(0, n - d_b + 1):min(n, d_s - 1) + 1] = True
+            inside = np.zeros(width, bool)
+            inside[:min(n, d_s - 1) + 1 - max(0, n - d_b + 1)] = True
             assert not u[n][~np.outer(inside, inside)].any()
             assert np.abs(u[n][np.ix_(inside, inside)]).max() > 0
 

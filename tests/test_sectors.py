@@ -12,7 +12,7 @@ blocks, which the block lists leave out.
 
 import numpy as np
 from dense import annihilation, dense, dense_unitary
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from qillum.estimator import (eta_derivative, outcome_distribution, received_state,
@@ -92,8 +92,9 @@ def assert_same_distribution(values, probs, ref_values, ref_probs):
 
 
 def test_beamsplitter_matches_dense_expm():
-    for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9)):
-        u = dense_unitary(beamsplitter_unitary(eta, d_s, d_b))
+    for eta, d_s, d_b in ((0.0, 5, 7), (0.1, 9, 6), (0.7, 6, 11), (1.0, 8, 8), (-0.3, 4, 9),
+                          (0.2, 40, 8)):
+        u = dense_unitary(beamsplitter_unitary(eta, d_s, d_b), d_s)
         assert np.abs(u - dense_beamsplitter(eta, d_s, d_b)).max() < 1e-12
 
 
@@ -114,6 +115,10 @@ def gapped_level_state(n_signal, d_signal):
        d_signal=st.integers(8, 12),
        dim_bath=st.integers(6, 12),
        order=st.integers(2, 4))
+# a signal cutoff far past the bath cutoff: U's sectors are d_b levels
+# wide, and each <j, n|U|i, k> must be read from its own sector
+@example(family="tmsv", n_signal=2.0, n_bath=0.5, eta=0.2, d_signal=24, dim_bath=5, order=2)
+@example(family="coherent", n_signal=3.0, n_bath=0.5, eta=0.2, d_signal=24, dim_bath=5, order=2)
 def test_outcome_distributions_match_dense_route(family, n_signal, n_bath, eta,
                                                  d_signal, dim_bath, order):
     if family == "gapped":
