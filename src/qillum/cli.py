@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -160,6 +159,8 @@ def cmd_simulate(args) -> int:
         return sim.xi_sweep(cfgs[0], [cfg.xi for cfg in cfgs], dists)
 
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             sweeps = list(pool.map(_sweep, groups))
     else:

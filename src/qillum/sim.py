@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import erfc, erfcinv
 
 from .estimator import outcome_distribution, received_state, sld_observable
 from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
@@ -78,6 +78,10 @@ class ProtocolConfig:
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
                    for v in (self.m_copies, self.trials, self.trials_cap_factor)):
             raise ValueError("m_copies, trials and trials_cap_factor must be integers >= 1")
+        # the seed is the 64-bit Philox key: outside [0, 2^64) distinct seeds would collide
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
                 min(self.prior_absent, self.prior_present) < 0:
             raise ValueError("priors must form a distribution")
@@ -168,17 +172,18 @@ def classical_error_closed(n_signal: float, n_bath: float, eta: float,
     if min(n_signal, n_bath, eta) < 0 or m_copies < 0 or not 0 < xi < 1:
         raise ValueError("invalid classical-error parameters")
     _, _, h_c = qfi_bounds(n_signal, n_bath)
-    p1 = 0.5 * erfc(math.sqrt((xi * eta) ** 2 * h_c * m_copies / 2.0))
-    p2 = 0.5 * erfc(math.sqrt(((1 - xi) * eta) ** 2 * h_c * m_copies / 2.0))
+    p1 = 0.5 * math.erfc(math.sqrt((xi * eta) ** 2 * h_c * m_copies / 2.0))
+    p2 = 0.5 * math.erfc(math.sqrt(((1 - xi) * eta) ** 2 * h_c * m_copies / 2.0))
     pr_opt = math.exp(-eta ** 2 * n_signal
                       * (math.sqrt(n_bath + 1) - math.sqrt(n_bath)) ** 2 * m_copies)
-    return float(p1), float(p2), pr_opt
+    return p1, p2, pr_opt
 
 
 def _chunk_generator(seed: int, stream: int, chunk: int, skip: int) -> Generator:
     """Counter-based uniforms of one trial chunk, started ``skip`` draws
     in; order-independent."""
-    bg = Philox(counter=[0, chunk, 0, 0], key=[seed & 0xFFFFFFFFFFFFFFFF, stream])
+    # a uint64 array: a list with a seed >= 2^63 would pass through float64
+    bg = Philox(counter=[0, chunk, 0, 0], key=np.array([seed, stream], dtype=np.uint64))
     bg.advance(skip // 4)             # one Philox counter step yields four draws
     gen = Generator(bg)
     gen.random(skip % 4)
@@ -274,13 +279,17 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     return ProtocolDistributions(state, rep.h, d0, d1)
 
 
+def _erfcinv_2p(p: float) -> float:
+    """erfcinv(2 p) for p in (0, 1), as -Phi^{-1}(p) / sqrt(2)."""
+    return -statistics.NormalDist().inv_cdf(p) / math.sqrt(2.0)
+
+
 def _gauss_rate_point(p: float, p_lo: float, p_hi: float, m: int):
     """Gaussian-tail-inverted rate erfcinv(2P)^2 / M with its CI half-width."""
     if not 0.0 < p < 0.5:
         return math.nan, math.nan
-    y = float(erfcinv(2.0 * p)) ** 2
-    ys = [float(erfcinv(2.0 * min(max(q, 1e-300), 1 - 1e-12))) ** 2
-          for q in (p_hi, p_lo)]
+    y = _erfcinv_2p(p) ** 2
+    ys = [_erfcinv_2p(min(max(q, 1e-300), 1 - 1e-12)) ** 2 for q in (p_hi, p_lo)]
     err = 0.5 * abs(ys[1] - ys[0])
     return y / m, err / m
 
@@ -382,7 +391,7 @@ def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):
     if np.any(ps <= 0.0) or np.any(ps >= 0.5):
         raise UnresolvedStatisticsError(
             "estimates outside (0, 1/2); the tail inversion needs resolved errors")
-    x = erfcinv(2.0 * ps)
+    x = np.vectorize(_erfcinv_2p)(ps)
     y = x ** 2
     if p_errs is None:
         sig = np.full_like(ms, np.median(y) * 0.01 + 1e-30)

@@ -23,6 +23,7 @@ own and never renormalize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,9 +228,8 @@ def cat_state_infinite_d(n_signal: float, d_signal: int) -> SchmidtState:
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
+    # log space: a cumprod of Poisson amplitudes underflows at large N_S
+    return np.array([math.lgamma(k + 1) for k in np.asarray(n).tolist()], dtype=float)
 
 
 def schmidt_decompose(amplitudes: np.ndarray, meta: dict | None = None) -> SchmidtState:

@@ -270,11 +270,61 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
                                 ("n_bath", -1.0, "photon numbers"),
                                 ("family", "cat:x", "unknown family"),
                                 ("d_signal", 0, "d_signal must be >= 1"),
-                                ("dim_bath", 1, "dim_bath must be >= 2")):
+                                ("dim_bath", 1, "dim_bath must be >= 2"),
+                                ("seed", -1, "seed must be"),
+                                ("seed", True, "seed must be"),
+                                ("seed", 1 << 64, "seed must be")):
         path = tmp_path / f"bad_{key}.json"
         path.write_text(json.dumps(dict(good, **{key: value})))
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
+    import qillum.cli as cli
+
+    base = {"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.1,
+            "m": 20, "xi": 0.5, "trials": 200}
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(base))
+    rows = []
+    for seed in ((1 << 63) + 5, (1 << 63) + 99, 7):
+        out = tmp_path / f"{seed}.csv"
+        assert cli.main(["simulate", "--config", str(path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        row = out.read_text().strip().split("\n")[2].split(",")
+        assert row[-1] == str(seed)
+        rows.append(row[:-1])
+    assert rows[0] != rows[1] and rows[0] != rows[2] and rows[1] != rows[2]
+    # negative seeds used to wrap to one shared key; now they are usage errors
+    for seed in ("-1", "-3"):
+        assert cli.main(["simulate", "--config", str(path), "--seed", seed]) == 2
+        assert "seed must be" in capsys.readouterr().err
+
+
+def test_commands_never_import_scipy(tmp_path):
+    """qillum needs only numpy and the standard library at run time: a
+    fresh interpreter that runs qfi, curves and simulate has no scipy
+    module loaded, neither at import nor lazily inside a command."""
+    config = tmp_path / "protocol.json"
+    config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0,
+                                  "eta": 0.1, "m": [20, 40], "xi": [0.3, 0.5],
+                                  "trials": 200, "seed": 7}))
+    argvs = [["qfi", "--family", "cat:inf", "--ns", "3", "--nb", "1", "--rel-tol", "1e-10",
+              "--out", str(tmp_path / "qfi.json")],
+             ["curves", "--nb", "1", "--ns", "0.1,1", "--families", "tmsv,cat:2,cat:inf",
+              "--out", str(tmp_path / "curves.csv")],
+             ["simulate", "--config", str(config), "--out", str(tmp_path / "sim.csv")]]
+    code = ("import json, sys\n"
+            "import qillum.cli\n"
+            f"codes = [qillum.cli.main(argv) for argv in {argvs!r}]\n"
+            "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps([codes, mods]))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    codes, modules = json.loads(res.stdout)
+    assert codes == [0, 0, 0]
+    assert modules == []
 
 
 def test_simulate_warns_only_for_one_sector_states(tmp_path, capsys):

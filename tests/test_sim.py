@@ -12,10 +12,10 @@ from numpy.random import Generator, Philox
 
 from qillum.qfi import qfi_bounds, qfi_gaussian_closed
 from qillum.sim import (GUIDE_SIZE, MIN_ERROR_EVENTS, SAMPLE_CHUNK, ErrorReport,
-                        ProtocolConfig, UnresolvedStatisticsError, _guide_table,
-                        classical_error_closed, gaussian_rate_fit,
-                        prepare_distributions, run_protocol, sample_means,
-                        wilson_interval, xi_sweep)
+                        ProtocolConfig, UnresolvedStatisticsError, _chunk_generator,
+                        _erfcinv_2p, _guide_table, classical_error_closed,
+                        gaussian_rate_fit, prepare_distributions, run_protocol,
+                        sample_means, wilson_interval, xi_sweep)
 
 GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
 
@@ -117,6 +117,29 @@ def test_config_validation():
     assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
 
 
+def test_config_seed_is_a_64_bit_key():
+    # the seed keys Philox as one uint64 word: anything else would collide
+    for bad in (-1, -1000, 1 << 64, True, 1.5, "7", None):
+        with pytest.raises(ValueError, match="seed"):
+            ProtocolConfig(seed=bad)
+    for good in (0, 7, (1 << 63) + 5, (1 << 64) - 1, np.uint64(9)):
+        assert ProtocolConfig(seed=good).seed == good
+
+
+def test_chunk_generator_streams_below_2_63_are_unchanged():
+    # the uint64 key array draws what the former [seed, stream] list drew
+    for seed in (0, 7, 2024, (1 << 63) - 1):
+        old = Generator(Philox(counter=[0, 3, 0, 0], key=[seed & 0xFFFFFFFFFFFFFFFF, 41]))
+        assert np.array_equal(_chunk_generator(seed, 41, 3, 0).random(64), old.random(64))
+
+
+def test_chunk_generator_keys_philox_with_the_whole_seed():
+    # seeds >= 2^63 once went through float64, so nearby seeds shared a key
+    for seed in ((1 << 63) + 5, (1 << 63) + 99, (1 << 64) - 1):
+        key = _chunk_generator(seed, 3, 0, 0).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, 3]
+
+
 def test_config_json_roundtrip():
     # a simulate config file holds the dataclass fields as JSON keys
     cfg = ProtocolConfig(family="cat:2", n_signal=0.3, seed=99, d_signal=20)
@@ -151,6 +174,30 @@ def test_classical_optimal_exponent_bright_bath():
     assert factor == pytest.approx(1.0 / (4 * nb), rel=1e-6)
     _, _, pr = classical_error_closed(0.5, nb, 0.1, 1000, 0.5)
     assert -math.log(pr) == pytest.approx(1000 * 0.1 ** 2 * 0.5 / (4 * nb), rel=1e-6)
+
+
+def test_classical_error_matches_scipy_erfc_form():
+    from scipy.special import erfc
+
+    # the criterion-8 points (N_S = 0.5, N_B = 1, eta = 0.1), at three thresholds
+    h_c = qfi_bounds(0.5, 1.0)[2]
+    for m in (200, 500, 1000, 2000):
+        for xi in (0.2, 0.5, 0.8):
+            p1, p2, _ = classical_error_closed(0.5, 1.0, 0.1, m, xi)
+            assert p1 == pytest.approx(0.5 * erfc(np.sqrt((xi * 0.1) ** 2 * h_c * m / 2)),
+                                       rel=1e-15, abs=0)
+            assert p2 == pytest.approx(
+                0.5 * erfc(np.sqrt(((1 - xi) * 0.1) ** 2 * h_c * m / 2)), rel=1e-15, abs=0)
+
+
+def test_erfcinv_helper_matches_scipy():
+    from scipy.special import erfcinv
+
+    two_p = np.concatenate([np.geomspace(2e-300, 1.0, 4000),
+                            np.linspace(0.0, 2.0 - 2e-12, 4001)[1:],
+                            np.random.default_rng(1).uniform(0.0, 2.0 - 2e-12, 4000)])
+    got = np.array([_erfcinv_2p(p) for p in (0.5 * two_p).tolist()])
+    np.testing.assert_allclose(got, erfcinv(two_p), rtol=1e-14, atol=0)
 
 
 def test_gaussian_rate_fit_recovers_erfc_form():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from dense import annihilation
 
-from qillum.states import (SchmidtState, cat_idler_eigenvalues, cat_state,
-                           cat_state_infinite_d, coherent, coherent_amplitudes,
+from qillum.qfi import MAX_CUTOFF
+from qillum.states import (SchmidtState, _log_factorial, cat_idler_eigenvalues,
+                           cat_state, cat_state_infinite_d, coherent, coherent_amplitudes,
                            max_entangled_fock, schmidt_decompose,
                            state_from_family, tmsv)
 
@@ -187,6 +188,13 @@ def test_cat_infinite_d_poisson():
     assert st.probs[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert st.probs[2] == pytest.approx(math.exp(-1.0) / 2, rel=1e-12)
     assert np.allclose(st.vectors, np.eye(12))
+
+
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    n = np.arange(MAX_CUTOFF)
+    np.testing.assert_allclose(_log_factorial(n), gammaln(n + 1.0), rtol=2e-15, atol=0)
 
 
 def test_cat_infinite_d_vacuum_and_mean():
