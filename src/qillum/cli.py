@@ -152,8 +152,8 @@ def cmd_simulate(args) -> int:
     # sequentially; only the sampling is fanned out.
     dists = prepare_distributions(groups[0][0])
     if dists.state.levels is None and groups[0][0].n_bath > 3:
-        sys.stderr.write("warning: general signal vectors make one rank x bath-cutoff "
-                         "sector, outside the desk-scale regime above N_B = 3\n")
+        sys.stderr.write("warning: general signal vectors gather a dense (signal x bath) "
+                         "factor, slow above N_B = 3\n")
     # every xi of one M reads the same draw: one sweep per M
     def _sweep(cfgs):
         return sim.xi_sweep(cfgs[0], [cfg.xi for cfg in cfgs], dists)

@@ -13,12 +13,14 @@ rho = z z' is one element of the beamsplitter array u[N, j - lo, i - lo]
 times one transmitter amplitude.
 
 The observable and the received states are block lists (see
-:mod:`qillum.fock`) over sectors fixed by conserved quantities.  For a
-level state, whose Schmidt vector a is the Fock level L_a, the SLD and
-the received state conserve q = L_a - n_b of idler term a and
-returned-mode level n_b, so each is built, diagonalized and measured one
-sector q at a time.  A state with general vectors (coherent, cat:<d>) is
-one sector.  A received state comes wrapped in a
+:mod:`qillum.fock`) over sectors fixed by conserved quantities, read from
+where the Schmidt vectors are nonzero.  If every level of vector a is
+r_a (mod g), the SLD and the received state conserve q = r_a - n_b
+(mod g) of idler term a and returned-mode level n_b, so each is built,
+diagonalized and measured one sector q at a time.  A level state (tmsv,
+cat:inf, maxfock), whose vector a is the Fock level L_a, has g = 0 and
+one sector per q = L_a - n_b; cat:<d> has g = d and d sectors; coherent
+has g = 1 and is one sector.  A received state comes wrapped in a
 :class:`~qillum.fock.DensityOperator` that carries its trace deficit.
 The SLD is the only observable built here: the quadrature and ab + a'b'
 forms it reduces to for coherent and tmsv transmitters are test oracles.
@@ -125,15 +127,29 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
 
 
 def _sectors(state: SchmidtState, dim_bath: int) -> list:
-    """(rows, cols) of each sector q: rows a * dim_bath + n of the
-    (rank x returned mode) space with q = L_a - n, and columns
-    j * dim_bath + k of the (signal x bath) space with q = j - k.  A state
-    with general vectors is one sector."""
-    if state.levels is None:
-        return [(np.arange(state.rank * dim_bath), np.arange(state.d_signal * dim_bath))]
-    n = np.arange(dim_bath)
-    rows = group_indices(np.subtract.outer(state.levels, n))
-    cols = group_indices(np.subtract.outer(np.arange(state.d_signal), n))
+    """(rows, cols) of each sector q, read from where the Schmidt vectors
+    are nonzero.  With r_a the lowest level of vector a and g the gcd of
+    the level gaps inside the vectors, every level of w_a is r_a (mod g).
+    Rows a * dim_bath + n of the (rank x returned mode) space have q =
+    r_a - n and columns j * dim_bath + k of the (signal x bath) space have
+    q = j - k, both mod g, and g = 0 means no modulus: a level state
+    (vector a is the Fock level L_a) has one sector per q = L_a - n, in
+    ascending q, coherent (g = 1) one sector and cat:<d> (g = d) d sectors.
+
+    U conserves n_s + n_b, so z[(a, n), (j, k)] needs i = j + n - k in the
+    support of w_a, which makes j - k = r_a - n (mod g); the SLD couples
+    (a, n) to (a', n + 1) only where <w_a|s|w_a'> is nonzero, which makes
+    r_a' = r_a + 1 (mod g).  Entries that are exactly zero stay out of
+    every sector, so the blocks are exact for the stored vectors.
+    """
+    levels, terms = state.support()
+    low = np.full(state.rank, state.d_signal)
+    np.minimum.at(low, terms, levels)
+    # without a modulus the shift by dim_bath - 1 keeps every key in [0, period)
+    period = int(np.gcd.reduce(levels - low[terms])) or state.d_signal + dim_bath
+    n = np.arange(dim_bath) - dim_bath + 1
+    rows = group_indices(np.subtract.outer(low, n) % period)
+    cols = group_indices(np.subtract.outer(np.arange(state.d_signal), n) % period)
     return [(rows[q], cols[q]) for q in rows]
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import statistics
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,10 +84,12 @@ class ProtocolConfig:
         if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
                 min(self.prior_absent, self.prior_present) < 0:
             raise ValueError("priors must form a distribution")
-        if self.d_signal is not None and self.d_signal < 1:
-            raise ValueError("transmitter cutoff d_signal must be >= 1")
-        if self.dim_bath is not None and self.dim_bath < 2:
-            raise ValueError("returned-mode cutoff dim_bath must be >= 2")
+        # a JSON true would run as cutoff 1, and 20.0 fail deep in numpy
+        for name, least in (("d_signal", 1), ("dim_bath", 2)):
+            v = getattr(self, name)
+            if v is not None and not (isinstance(v, numbers.Integral)
+                                      and not isinstance(v, bool) and v >= least):
+                raise ValueError(f"cutoff {name} must be >= {least} and an integer, got {v!r}")
 
 
 @dataclass
@@ -281,6 +282,9 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
 
 def _erfcinv_2p(p: float) -> float:
     """erfcinv(2 p) for p in (0, 1), as -Phi^{-1}(p) / sqrt(2)."""
+    # imported here: statistics pulls decimal and fractions into every command
+    import statistics
+
     return -statistics.NormalDist().inv_cdf(p) / math.sqrt(2.0)
 
 

@@ -14,7 +14,11 @@ vectors (tmsv, cat:inf, maxfock).  Ladder quantities then follow from the
 levels in O(rank) at any cutoff; the unit columns are materialized only
 when a caller reads ``vectors`` (received states, ``validate``).
 States with general vectors (coherent, cat:<d>, :func:`schmidt_decompose`)
-store them explicitly and apply the ladder as a shifted slice.
+store them explicitly and apply the ladder as a shifted slice.  Either
+way :meth:`SchmidtState.support` lists where the vectors are nonzero,
+and the estimator reads its sectors from that alone: cat:<d> keeps exact
+zeros off each residue class n = k (mod d), so its d vectors give d
+sectors, while a vector with no gaps (coherent) makes one.
 
 Constructors take the signal cutoff from the caller and report the lost
 probability mass as ``deficit``; they never enlarge the space on their
@@ -80,6 +84,14 @@ class SchmidtState:
         unit = np.zeros((self.d_signal, self.rank), dtype=np.complex128)
         unit[self.levels, np.arange(self.rank)] = 1.0
         return unit
+
+    def support(self):
+        """(levels, terms) of the nonzero signal amplitudes, w_terms[levels]
+        != 0: a level state gives its levels without building unit columns,
+        general vectors the nonzero entries of ``columns``."""
+        if self.levels is not None:
+            return self.levels, np.arange(self.rank)
+        return np.nonzero(self.columns)
 
     def mean_photons(self) -> float:
         if self.levels is not None:

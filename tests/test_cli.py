@@ -271,6 +271,10 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
                                 ("family", "cat:x", "unknown family"),
                                 ("d_signal", 0, "d_signal must be >= 1"),
                                 ("dim_bath", 1, "dim_bath must be >= 2"),
+                                ("d_signal", True, "d_signal must be >= 1"),
+                                ("d_signal", 20.0, "d_signal must be >= 1"),
+                                ("dim_bath", 40.0, "dim_bath must be >= 2"),
+                                ("dim_bath", 1e400, "dim_bath must be >= 2"),
                                 ("seed", -1, "seed must be"),
                                 ("seed", True, "seed must be"),
                                 ("seed", 1 << 64, "seed must be")):
@@ -305,7 +309,9 @@ def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
 def test_commands_never_import_scipy(tmp_path):
     """qillum needs only numpy and the standard library at run time: a
     fresh interpreter that runs qfi, curves and simulate has no scipy
-    module loaded, neither at import nor lazily inside a command."""
+    module loaded, neither at import nor lazily inside a command.  qfi and
+    curves load no statistics either, nor the decimal and fractions it
+    pulls in: only simulate's rates need it."""
     config = tmp_path / "protocol.json"
     config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0,
                                   "eta": 0.1, "m": [20, 40], "xi": [0.3, 0.5],
@@ -317,20 +323,24 @@ def test_commands_never_import_scipy(tmp_path):
              ["simulate", "--config", str(config), "--out", str(tmp_path / "sim.csv")]]
     code = ("import json, sys\n"
             "import qillum.cli\n"
-            f"codes = [qillum.cli.main(argv) for argv in {argvs!r}]\n"
-            "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-            "print(json.dumps([codes, mods]))\n")
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+            f"codes = [qillum.cli.main(argv) for argv in {argvs[:2]!r}]\n"
+            "light = loaded('statistics', 'decimal', 'fractions')\n"
+            f"codes.append(qillum.cli.main({argvs[2]!r}))\n"
+            "print(json.dumps([codes, light, loaded('scipy')]))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    codes, modules = json.loads(res.stdout)
+    codes, light, modules = json.loads(res.stdout)
     assert codes == [0, 0, 0]
+    assert light == []
     assert modules == []
 
 
 def test_simulate_warns_only_for_one_sector_states(tmp_path, capsys):
     """A level state reaches the bright bath N_B = 50 in q-blocks and
-    runs without the desk-scale warning; a state with general vectors is
-    one rank x bath-cutoff sector and still warns above N_B = 3."""
+    runs without the desk-scale warning; a state with general vectors
+    gathers a dense (signal x bath) factor and still warns above N_B = 3."""
     import qillum.cli as cli
     from qillum.qfi import qfi_gaussian_closed
 

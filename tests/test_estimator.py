@@ -285,6 +285,27 @@ def test_spectral_preparation_allocates_no_dense_matrix():
     assert dist.probabilities.sum() + dist.deficit == pytest.approx(1.0, abs=1e-10)
 
 
+def test_residue_sectors_allocate_no_one_sector_factor():
+    """cat:2 and cat:3 at N_B = 10 (23 x 196 levels) split into residue
+    sectors, so their received state, SLD spectrum and outcome
+    distribution peak below 32 bytes per entry of the (rank x d_b) x
+    (d_s x d_b) factor z that one sector over every row and column would
+    gather."""
+    for d in (2, 3):
+        state = cat_state(0.5, d, 23)
+        tracemalloc.start()
+        try:
+            rho = received_state(state, 10.0, 0.1, 196)
+            obs = sld_observable(state, 10.0, 196)
+            dist = outcome_distribution(rho, obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(obs.spectra) == d
+        assert peak < 32 * (d * 196) * (23 * 196)
+        assert dist.probabilities.sum() + dist.deficit == pytest.approx(1.0, abs=1e-10)
+
+
 def test_block_route_in_the_bright_bath():
     """At N_B = 50 (23 x 933 = 21459 joint dimensions) no dense oracle
     fits, so the block route is held to its own identities: the estimator

@@ -95,8 +95,11 @@ def test_config_validation():
         ProtocolConfig(n_bath=-1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(family="cat:x")
+    # a bool or a float cutoff is rejected here, not deep inside numpy
     for bad in (dict(d_signal=0), dict(family="coherent", d_signal=-3),
-                dict(dim_bath=1), dict(dim_bath=0)):
+                dict(dim_bath=1), dict(dim_bath=0), dict(d_signal=True),
+                dict(d_signal=20.0), dict(dim_bath=40.0), dict(dim_bath=math.inf),
+                dict(dim_bath=False), dict(d_signal="20")):
         with pytest.raises(ValueError, match="cutoff"):
             ProtocolConfig(**bad)
     for bad in (dict(n_signal=math.nan), dict(n_bath=math.inf), dict(eta=math.nan),
@@ -115,6 +118,7 @@ def test_config_validation():
     assert ProtocolConfig(trials=1, trials_cap_factor=1).trials_cap_factor == 1
     assert ProtocolConfig(eta=1.0).eta == 1.0
     assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
+    assert ProtocolConfig(d_signal=np.int64(20), dim_bath=None).d_signal == 20
 
 
 def test_config_seed_is_a_64_bit_key():
