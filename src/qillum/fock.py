@@ -47,8 +47,8 @@ class TruncationError(RuntimeError):
 def _hermitian(blocks) -> list:
     """``blocks`` with contiguous complex128 blocks, checked to be a
     nonempty list of nonempty square blocks with one row index per row
-    (:class:`DimensionError`), each Hermitian entrywise to HERMITIAN_ATOL
-    (ValueError)."""
+    (:class:`DimensionError`), each finite and Hermitian entrywise to
+    HERMITIAN_ATOL (ValueError)."""
     if not blocks:
         raise DimensionError("expected at least one block")
     out = []
@@ -56,9 +56,11 @@ def _hermitian(blocks) -> list:
         m = np.ascontiguousarray(block, dtype=np.complex128)
         if m.ndim != 2 or not 0 < len(rows) == m.shape[0] == m.shape[1]:
             raise DimensionError(f"expected a square block on {len(rows)} rows, got {m.shape}")
-        dev = np.abs(m - m.conj().T).max()
-        if dev >= HERMITIAN_ATOL:
-            raise ValueError(f"block deviates from Hermitian by {dev:.3e}")
+        # a NaN or infinite entry makes dev NaN or infinite, so it fails too
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(m - m.conj().T).max()
+        if not dev < HERMITIAN_ATOL:
+            raise ValueError(f"block is not finite or deviates from Hermitian by {dev:.3e}")
         out.append((rows, m))
     return out
 
@@ -80,7 +82,7 @@ class DensityOperator:
         if self.trace_deficit < -TRACE_ATOL:
             raise ValueError(f"negative trace deficit {self.trace_deficit:.3e}")
         tr = self.trace()
-        if abs(tr + self.trace_deficit - 1.0) > 1e-9:
+        if not abs(tr + self.trace_deficit - 1.0) <= 1e-9:
             raise ValueError(
                 f"trace {tr:.12f} + deficit {self.trace_deficit:.3e} is not 1"
             )

@@ -12,12 +12,16 @@ prefactor of the true tail (for a Gaussian mean, P = erfc(sqrt(rate * M))
 removes that prefactor and recovers the rate already at moderate M.
 These are the rates compared against the predictions xi^2 eta^2 H / 2.
 
-Sampling uses counter-based RNG streams keyed by (seed, stream, chunk):
-every trial's draws are reproducible independently of execution order,
-so results are bit-identical across runs and thread counts.  Trial means
-are prefix-consistent, so the thresholds of one M share one draw: each
-xi reports on the prefix where its own doubling rule stops, with the
-same numbers as a sweep of that xi alone.
+Sampling uses counter-based RNG streams keyed by (seed, stream, chunk),
+and a chunk of SAMPLE_CHUNK trials is the unit of generation: each chunk
+is drawn whole from its own stream, independently of execution order,
+so results are bit-identical across runs and thread counts.  Within a
+chunk the likely outcomes are counted with one multinomial draw per
+trial and only the rest are drawn one by one (``sample_means``).  The
+binomial streams are numpy's, so bit identity holds for a fixed numpy
+version.  Trial means are prefix-consistent, so the thresholds of one M
+share one draw: each xi reports on the prefix where its own doubling
+rule stops, with the same numbers as a sweep of that xi alone.
 """
 
 from __future__ import annotations
@@ -33,9 +37,14 @@ from .estimator import outcome_distribution, received_state, sld_observable
 from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
 from .states import SchmidtState, parse_family, state_from_family
 
-SAMPLE_CHUNK = 4096
+# trials per Philox chunk, the unit of generation: a doubling ladder from a
+# multiple of it (2048 trials, say) never generates a chunk twice
+SAMPLE_CHUNK = 1024
 GUIDE_SIZE = 1 << 14      # fewest guide-table buckets; powers of two keep u * size exact
 BLOCK_DRAWS = 1 << 15     # uniforms per sampling block, small enough to stay in cache
+# an outcome expected at least this often per trial is counted by a binomial
+# (100-175 ns) rather than drawn one by one (13-20 ns a draw)
+HEAD_DRAWS = 8
 MIN_ERROR_EVENTS = 50
 
 
@@ -180,15 +189,11 @@ def classical_error_closed(n_signal: float, n_bath: float, eta: float,
     return p1, p2, pr_opt
 
 
-def _chunk_generator(seed: int, stream: int, chunk: int, skip: int) -> Generator:
-    """Counter-based uniforms of one trial chunk, started ``skip`` draws
-    in; order-independent."""
+def _chunk_generator(seed: int, stream: int, chunk: int) -> Generator:
+    """The counter-based generator of one trial chunk; order-independent."""
     # a uint64 array: a list with a seed >= 2^63 would pass through float64
-    bg = Philox(counter=[0, chunk, 0, 0], key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(skip // 4)             # one Philox counter step yields four draws
-    gen = Generator(bg)
-    gen.random(skip % 4)
-    return gen
+    return Generator(Philox(counter=[0, chunk, 0, 0],
+                            key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -203,54 +208,114 @@ def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, vals[lo], np.nan)
 
 
-def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
-                 trials: int, seed: int, stream: int, first: int = 0) -> np.ndarray:
-    """Trial means of m inverse-CDF draws from a finite outcome distribution.
-
-    Returns the means of trials ``first`` to ``first + trials - 1``.  Trial
-    t draws row t mod SAMPLE_CHUNK of chunk t // SAMPLE_CHUNK, so drawing a
-    trial range in parts gives the same means as drawing it at once.
+def _tail_sums(gen: Generator, counts: np.ndarray, vals: np.ndarray,
+               cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """Per trial, the sum of ``counts[t]`` inverse-CDF draws from the tail
+    outcomes ``vals``, drawn in trial order in blocks of whole trials of
+    at most BLOCK_DRAWS uniforms (one trial at least).
 
     A draw u selects the outcome i with cdf[i-1] <= u < cdf[i].  A guide
     table (Chen & Asau, AIIE Trans. 6, 163, 1974) resolves most draws
     with one lookup: every bucket of u that no CDF step enters holds its
     outcome directly, and only draws in the other buckets (at most one
     per outcome) take the binary search.  Both routes pick the same
-    outcome, so the means equal a plain binary-search sampler's bit for
-    bit.
+    outcome as a plain binary search.
 
-    The CDF is normalized by its total mass.  That mass falls short of 1
-    by the received state's truncation deficit.  For tmsv the automatic
-    cutoffs leave 1.9e-9 at N_B = 1 and 4.3e-9 at N_B = 3, far below
-    Monte Carlo resolution: nearly all of it is the bath's 1e-8 thermal
-    tail, since the transmitter keeps its own tail below 1e-12 at any N_S
-    (6.4e-13 at N_S = 5).
+    The draws are read as raw 64-bit words r, the words ``gen.random``
+    turns into u = (r >> 11) 2^-53, so the bucket of u in a table of 2^b
+    buckets is r >> (64 - b), with no float pass.
+    """
+    shift = 65 - len(guide).bit_length()
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    sums = np.zeros(len(counts))
+    t = 0
+    while t < len(counts):
+        s = max(t + 1, int(np.searchsorted(offsets, offsets[t] + BLOCK_DRAWS,
+                                           side="right")) - 1)
+        raw = gen.bit_generator.random_raw(offsets[s] - offsets[t])
+        x = guide[(raw >> shift).view(np.intp)]
+        miss = np.isnan(x)
+        if miss.any():
+            u = (raw[miss] >> 11) * 2.0 ** -53
+            x[miss] = vals[np.searchsorted(cdf, u, side="right")]
+        # reduceat gives an empty segment the value at its start, not 0
+        drawn = np.flatnonzero(counts[t:s]) + t
+        if len(drawn):
+            sums[drawn] = np.add.reduceat(x, offsets[drawn] - offsets[t])
+        t = s
+    return sums
+
+
+def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
+                 trials: int, seed: int, stream: int, first: int = 0) -> np.ndarray:
+    """Trial means of m draws from a finite outcome distribution.
+
+    Returns the means of trials ``first`` to ``first + trials - 1``.  Trial
+    t is row t mod SAMPLE_CHUNK of chunk t // SAMPLE_CHUNK.  A chunk is the
+    unit of generation: every chunk the range touches is generated on its
+    own stream from its start, up to the range's end, and the result
+    sliced, so drawing a trial range in parts gives the same means as
+    drawing it at once.
+
+    A mean depends only on how often each outcome was drawn.  The head
+    outcomes, those with m p_j >= HEAD_DRAWS (by descending p, then by
+    value), are counted: one ``Generator.multinomial(m, [p_head...,
+    p_tail])`` call gives every trial of the chunk its head counts and
+    its tail count c, by conditional binomials (C. S. Davis, Comput.
+    Stat. Data Anal. 16, 205, 1993), and the head sum is the row sum of
+    counts times values.  Each trial's c tail draws then come one by one
+    from the same generator, in trial order, through a guide table over
+    the tail outcomes (``_tail_sums``).  Given the counts, the tail draws
+    are independent draws from the tail's conditional law, so every mean
+    has the law of m independent draws.  No BLAS call is involved, so the
+    means do not depend on the BLAS thread count.  The binomials are
+    numpy's, so the means are bit-identical for a fixed numpy version.
+
+    Probabilities below zero (roundoff down to -1e-10) are clamped to
+    zero, and the distribution is normalized by its total mass; NaN or
+    infinite probabilities, or no positive mass, raise ValueError.  The
+    mass falls short of 1 by the received state's truncation deficit.  For
+    tmsv the automatic cutoffs leave 1.9e-9 at N_B = 1 and 4.3e-9 at N_B =
+    3, far below Monte Carlo resolution: nearly all of it is the bath's
+    1e-8 thermal tail, since the transmitter keeps its own tail below
+    1e-12 at any N_S (6.4e-13 at N_S = 5).
     """
     order = np.argsort(values)
     vals = values[order]
-    # probabilities may carry roundoff down to -1e-10; a negative step
-    # would make the CDF non-monotone
-    cdf = np.cumsum(np.maximum(probabilities[order], 0.0))
-    # exactly 1 at the end, so every u in [0, 1) finds an outcome
-    cdf /= cdf[-1]
-    guide = _guide_table(vals, cdf)
-    size = len(guide)
-    rows = max(1, BLOCK_DRAWS // m)
+    p = np.asarray(probabilities, dtype=float)[order]
+    if not np.isfinite(p).all():
+        raise ValueError("outcome probabilities must be finite")
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    if not total > 0.0:
+        raise ValueError("outcome probabilities have no positive mass")
+    # a zero-probability outcome is never drawn
+    vals, p = vals[p > 0.0], p[p > 0.0] / total
+    in_head = m * p >= HEAD_DRAWS
+    rank = np.lexsort((vals[in_head], -p[in_head]))
+    head_vals, head_p = vals[in_head][rank], p[in_head][rank]
+    tail_vals, tail_p = vals[~in_head], p[~in_head]
+    # multinomial's last category takes the remaining mass: the tail, or
+    # the last head outcome when there is no tail
+    pvals = head_p
+    if len(tail_vals):
+        pvals = np.append(head_p, max(0.0, 1.0 - head_p.sum()))
+        cdf = np.cumsum(tail_p)
+        # exactly 1 at the end, so every u in [0, 1) finds an outcome
+        cdf /= cdf[-1]
+        guide = _guide_table(tail_vals, cdf)
     stop = first + trials
     out = np.empty(trials)
     for chunk in range(first // SAMPLE_CHUNK, -(-stop // SAMPLE_CHUNK)):
-        begin = max(first, chunk * SAMPLE_CHUNK)
-        end = min(stop, (chunk + 1) * SAMPLE_CHUNK)
-        gen = _chunk_generator(seed, stream, chunk, (begin - chunk * SAMPLE_CHUNK) * m)
-        for t in range(begin, end, rows):
-            n = min(rows, end - t)
-            u = gen.random((n, m))
-            u *= size                 # exact, so u // 1 is the bucket
-            x = guide[u.astype(np.intp)]
-            miss = np.isnan(x)
-            if miss.any():
-                x[miss] = vals[np.searchsorted(cdf, u[miss] / size, side="right")]
-            out[t - first:t - first + n] = x.mean(axis=1)
+        lo = chunk * SAMPLE_CHUNK
+        n = min(stop, lo + SAMPLE_CHUNK) - lo
+        gen = _chunk_generator(seed, stream, chunk)
+        counts = gen.multinomial(m, pvals, size=SAMPLE_CHUNK)[:n]
+        sums = (counts[:, :len(head_vals)] * head_vals).sum(axis=1)
+        if len(tail_vals):
+            sums += _tail_sums(gen, counts[:, -1], tail_vals, cdf, guide)
+        begin = max(first, lo)
+        out[begin - first:lo + n - first] = sums[begin - lo:] / m
     return out
 
 

@@ -188,6 +188,19 @@ def test_density_operator_rejects_non_hermitian():
         DensityOperator(one_block(np.array([[0.5, 1e-12], [0.0, 0.5]])))
 
 
+def test_density_operator_rejects_non_finite_blocks():
+    # a NaN once passed both the Hermiticity and the trace check (NaN compares false)
+    nan, inf = np.nan, np.inf
+    for bad in ([[nan, 0.0], [0.0, 1.0]], [[0.5, nan], [nan, 0.5]], [[inf, 0.0], [0.0, 0.5]],
+                [[0.5, inf], [inf, 0.5]], [[0.5, 1j * inf], [-1j * inf, 0.5]]):
+        with pytest.raises(ValueError, match="not finite"):
+            DensityOperator(one_block(np.array(bad)))
+        with pytest.raises(ValueError, match="not finite"):
+            eig_hermitian(one_block(np.array(bad)))
+    with pytest.raises(ValueError, match="is not 1"):
+        DensityOperator(one_block(np.diag([0.5, 0.5])), nan)
+
+
 def test_density_operator_rejects_trace_mismatch():
     with pytest.raises(ValueError, match="is not 1"):
         DensityOperator(one_block(np.diag([0.5, 0.4])))

@@ -11,31 +11,49 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from qillum.qfi import qfi_bounds, qfi_gaussian_closed
-from qillum.sim import (GUIDE_SIZE, MIN_ERROR_EVENTS, SAMPLE_CHUNK, ErrorReport,
-                        ProtocolConfig, UnresolvedStatisticsError, _chunk_generator,
-                        _erfcinv_2p, _guide_table, classical_error_closed,
-                        gaussian_rate_fit, prepare_distributions, run_protocol,
-                        sample_means, wilson_interval, xi_sweep)
+from qillum.sim import (GUIDE_SIZE, HEAD_DRAWS, MIN_ERROR_EVENTS, SAMPLE_CHUNK,
+                        ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
+                        _chunk_generator, _erfcinv_2p, _guide_table,
+                        classical_error_closed, gaussian_rate_fit, prepare_distributions,
+                        run_protocol, sample_means, wilson_interval, xi_sweep)
 
 GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
 
 
 def searchsorted_sample_means(values, probabilities, m, trials, seed, stream):
-    """Oracle: the plain binary-search inverse-CDF sampler, one full
-    chunk of uniforms per SAMPLE_CHUNK trials."""
+    """Oracle: the sampling rule written plainly, one whole chunk at a time.
+    Per chunk, one multinomial gives every trial its head counts and its
+    tail count; the chunk's tail draws follow in trial order, each mapped
+    to its outcome by a binary search over the tail CDF, and each trial
+    sums its own."""
     order = np.argsort(values)
     vals = values[order]
-    cdf = np.cumsum(probabilities[order])
-    cdf /= cdf[-1]
+    p = np.maximum(probabilities[order], 0.0)
+    vals, p = vals[p > 0], p[p > 0] / p.sum()
+    head = m * p >= HEAD_DRAWS
+    rank = np.lexsort((vals[head], -p[head]))
+    head_vals, head_p = vals[head][rank], p[head][rank]
+    tail_vals, tail_p = vals[~head], p[~head]
+    k = len(head_vals)
+    if len(tail_vals):
+        pvals = np.append(head_p, max(0.0, 1.0 - head_p.sum()))
+        cdf = np.cumsum(tail_p)
+        cdf /= cdf[-1]
+    else:
+        pvals = head_p
     out = np.empty(trials)
     for start in range(0, trials, SAMPLE_CHUNK):
-        take = min(SAMPLE_CHUNK, trials - start)
-        bg = Philox(counter=[0, start // SAMPLE_CHUNK, 0, 0],
-                    key=[seed & 0xFFFFFFFFFFFFFFFF, stream])
-        u = Generator(bg).random((SAMPLE_CHUNK, m))
-        idx = np.searchsorted(cdf, u[:take], side="right")
-        np.clip(idx, 0, len(vals) - 1, out=idx)
-        out[start:start + take] = vals[idx].mean(axis=1)
+        gen = Generator(Philox(counter=[0, start // SAMPLE_CHUNK, 0, 0],
+                               key=np.array([seed, stream], dtype=np.uint64)))
+        counts = gen.multinomial(m, pvals, size=SAMPLE_CHUNK)
+        tail_counts = counts[:, k] if len(tail_vals) else np.zeros(SAMPLE_CHUNK, dtype=int)
+        x = tail_vals[np.searchsorted(cdf, gen.random(tail_counts.sum()), side="right")] \
+            if len(tail_vals) else np.empty(0)
+        ends = np.cumsum(tail_counts)
+        for t in range(min(SAMPLE_CHUNK, trials - start)):
+            c = tail_counts[t]
+            tail = np.add.reduceat(x[ends[t] - c:ends[t]], [0])[0] if c else 0.0
+            out[start + t] = ((counts[t, :k] * head_vals).sum() + tail) / m
     return out
 
 
@@ -134,13 +152,13 @@ def test_chunk_generator_streams_below_2_63_are_unchanged():
     # the uint64 key array draws what the former [seed, stream] list drew
     for seed in (0, 7, 2024, (1 << 63) - 1):
         old = Generator(Philox(counter=[0, 3, 0, 0], key=[seed & 0xFFFFFFFFFFFFFFFF, 41]))
-        assert np.array_equal(_chunk_generator(seed, 41, 3, 0).random(64), old.random(64))
+        assert np.array_equal(_chunk_generator(seed, 41, 3).random(64), old.random(64))
 
 
 def test_chunk_generator_keys_philox_with_the_whole_seed():
     # seeds >= 2^63 once went through float64, so nearby seeds shared a key
     for seed in ((1 << 63) + 5, (1 << 63) + 99, (1 << 64) - 1):
-        key = _chunk_generator(seed, 3, 0, 0).bit_generator.state["state"]["key"]
+        key = _chunk_generator(seed, 3, 0).bit_generator.state["state"]["key"]
         assert key.tolist() == [seed, 3]
 
 
@@ -238,18 +256,89 @@ def test_sample_means_extension_preserves_prefix():
 
 
 def test_sample_means_point_mass():
-    out = sample_means(np.array([1.5]), np.array([1.0]), 4, 100, seed=0, stream=0)
-    assert np.all(out == 1.5)
+    # drawn one by one at m = 4, counted as the one head outcome at m = 100
+    for m in (4, 100):
+        out = sample_means(np.array([1.5]), np.array([1.0]), m, 100, seed=0, stream=0)
+        assert np.all(out == 1.5)
+
+
+def test_sample_means_rejects_invalid_probabilities():
+    # each once returned the first outcome's value for every trial
+    for bad in ([0.0, 0.0], [np.nan, 1.0], [-0.1, -0.2], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="probabilities"):
+            sample_means(np.array([0.0, 1.0]), np.array(bad), 5, 10, seed=0, stream=0)
+
+
+def test_sample_means_all_head():
+    # every outcome is counted (m p >= HEAD_DRAWS): no tail and no uniform draws
+    values = np.array([1.0, 2.0, 4.0])
+    probs = np.array([0.5, 0.3, 0.2])
+    m = 100
+    assert np.all(m * probs >= HEAD_DRAWS)
+    out = sample_means(values, probs, m, 3000, seed=3, stream=1)
+    assert np.array_equal(out, searchsorted_sample_means(values, probs, m, 3000, 3, 1))
+    parts = [sample_means(values, probs, m, 1500, seed=3, stream=1),
+             sample_means(values, probs, m, 1500, seed=3, stream=1, first=1500)]
+    assert np.array_equal(np.concatenate(parts), out)
+    sums = np.round(out * m)
+    np.testing.assert_allclose(out * m, sums, rtol=0, atol=1e-9)
+    assert np.all((sums >= m) & (sums <= 4 * m))
+    se = math.sqrt(probs @ values ** 2 - (probs @ values) ** 2) / math.sqrt(m * len(out))
+    assert abs(out.mean() - probs @ values) < 5 * se
+
+
+def test_sample_means_zero_probability_outcomes_change_nothing():
+    # a zero-probability outcome is never drawn, in the head's or the tail's range;
+    # below 8 outcomes the total mass is a plain sum, so inserting zeros keeps it exact
+    for values, probs, m in (([0.0, 5.0], [0.5, 0.5], 50),             # all head
+                             ([0.0, 1.0, 2.0], [0.6, 0.3, 0.1], 20),   # head and tail
+                             ([0.0, 1.0, 2.0], [0.6, 0.3, 0.1], 3)):   # all tail
+        expected = sample_means(np.array(values), np.array(probs), m, 2000, seed=4, stream=9)
+        padded = sample_means(np.array(values + [-3.0, 0.5, 9.0]),
+                              np.array(probs + [0.0, 0.0, 0.0]), m, 2000, seed=4, stream=9)
+        assert np.array_equal(padded, expected)
+
+
+def test_sample_means_exact_law():
+    # 4 outcomes on an integer lattice, two counted (m p >= 8) and two drawn:
+    # the sum of m draws has the m-fold convolution of the outcome law as its
+    # exact distribution, and a chi-square test over 200k trials must not
+    # reject it at alpha = 1e-6, a level fixed before any seed was run
+    from scipy.stats import chi2
+
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    probs = np.array([0.5, 0.3, 0.15, 0.05])
+    m, trials, alpha = 40, 200_000, 1e-6
+    assert 0 < np.count_nonzero(m * probs >= HEAD_DRAWS) < len(values)
+    law = np.array([1.0])
+    for _ in range(m):
+        law = np.convolve(law, probs)
+    sums = sample_means(values, probs, m, trials, seed=17, stream=5) * m
+    k = np.round(sums).astype(int)
+    np.testing.assert_allclose(sums, k, rtol=0, atol=1e-9)
+    observed = np.bincount(k, minlength=len(law)).astype(float)
+    expected = trials * law
+    # pool each sparse tail into one cell that expects at least 5 trials
+    lo = int(np.searchsorted(np.cumsum(expected), 5.0)) + 1
+    hi = len(law) - 1 - int(np.searchsorted(np.cumsum(expected[::-1]), 5.0))
+
+    def pooled(a):
+        return np.concatenate(([a[:lo].sum()], a[lo:hi], [a[hi:].sum()]))
+
+    obs, exp = pooled(observed), pooled(expected)
+    assert obs.sum() == trials and exp.min() >= 5
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2.sf(stat, len(exp) - 1) > alpha
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(dist=outcome_distributions(), m=st.sampled_from([1, 7, 300]),
+@given(dist=outcome_distributions(), m=st.sampled_from([1, 7, 40, 300]),
        size=st.floats(0.0, 1.0), split=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 40), stream=st.integers(0, 4001))
 def test_sample_means_matches_binary_search_oracle(dist, m, size, split, seed, stream):
     values, probs = dist
-    # up to two chunk boundaries, fewer at m = 300 to bound the run time
-    trials = 1 + int(size * (SAMPLE_CHUNK + 50 if m == 300 else 2 * SAMPLE_CHUNK + 50))
+    # up to two chunk boundaries; m = 40 and 300 count their likely outcomes
+    trials = 1 + int(size * (2 * SAMPLE_CHUNK + 50))
     expected = searchsorted_sample_means(values, probs, m, trials, seed, stream)
     assert np.array_equal(sample_means(values, probs, m, trials, seed, stream), expected)
     head = int(split * trials)
@@ -278,15 +367,19 @@ def test_sample_means_many_outcomes_match_binary_search_oracle():
 def test_sample_means_ignores_outcome_order():
     # outcome distributions list their outcomes in block order, an
     # implementation detail: for distinct values any joint permutation of
-    # (values, probabilities) draws the same means, bit for bit
+    # (values, probabilities) draws the same means, bit for bit, with or
+    # without counted outcomes (m = 300 counts the 12 heavy ones)
     rng = np.random.default_rng(5)
     values = rng.normal(size=3000)
     probs = rng.random(3000)
+    probs[:12] *= 300
+    probs[12:15] = probs[0]           # equal head masses, ranked by value
     assert len(np.unique(values)) == len(values)
-    expected = sample_means(values, probs, 7, 3000, seed=6, stream=3)
-    for perm in (np.argsort(values), np.argsort(values)[::-1], rng.permutation(3000)):
-        assert np.array_equal(sample_means(values[perm], probs[perm], 7, 3000, seed=6,
-                                           stream=3), expected)
+    for m in (7, 300):
+        expected = sample_means(values, probs, m, 3000, seed=6, stream=3)
+        for perm in (np.argsort(values), np.argsort(values)[::-1], rng.permutation(3000)):
+            assert np.array_equal(sample_means(values[perm], probs[perm], m, 3000, seed=6,
+                                               stream=3), expected)
 
 
 def test_sample_means_clamps_negative_probabilities():
