@@ -19,7 +19,7 @@ from .estimator import (MomentBoundReport, ObservableSpectrum,
                         received_state, sld_observable, unbiasedness_check)
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   classical_error_closed, gaussian_rate_fit,
-                  prepare_distributions, run_protocol, sample_means,
-                  wilson_interval, xi_sweep)
+                  prepare_distributions, sample_means, simulate,
+                  wilson_interval)
 
 __version__ = "0.1.0"

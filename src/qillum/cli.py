@@ -15,6 +15,7 @@ or invalid parameters, 3 non-convergence, 4 unresolved statistics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -57,9 +58,9 @@ def _parse_grid(spec: str):
 
 
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
-                phase: float, rel_tol: float | None = None) -> QfiReport:
-    if not all(map(math.isfinite, (n_signal, n_bath, phase))):
-        raise ValueError(f"N_S, N_B and phase must be finite, got {n_signal}, {n_bath}, {phase}")
+                rel_tol: float | None = None) -> QfiReport:
+    if not all(map(math.isfinite, (n_signal, n_bath))):
+        raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if rel_tol is not None and not 0 < rel_tol < math.inf:
@@ -67,7 +68,7 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
 
     @functools.cache   # the converged cutoff is evaluated once, by converge_cutoff
     def report(d_signal):
-        return qfi_schmidt(state_from_family(family, n_signal, d_signal, phase=phase), n_bath)
+        return qfi_schmidt(state_from_family(family, n_signal, d_signal), n_bath)
 
     if cutoff is None:
         cutoff = default_cutoff(family, n_signal)
@@ -87,8 +88,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_qfi(args) -> int:
-    report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, args.phase,
-                         rel_tol=args.rel_tol)
+    report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
     if args.format == "csv":
         text = "# schema: qi.qfi.v1\n" + QfiReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
     else:
@@ -107,8 +107,7 @@ def cmd_curves(args) -> int:
     rows = []
     for fam in families:
         for ns in grid:
-            rep = _qfi_report(fam, ns, args.nb, args.cutoff, phase=0.0,
-                              rel_tol=args.rel_tol)
+            rep = _qfi_report(fam, ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
             gain = rep.gain
             rows.append((fam, ns, args.nb, rep.h, rep.h_c, gain, rep.gain_db,
                          rep.cutoff))
@@ -122,50 +121,26 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
-def _simulate_points(payload: dict, overrides: dict):
-    """Expand a simulate config into one list of ProtocolConfigs per M,
-    one config per xi.
-
-    Command-line overrides (eta, m, xi, trials, seed) shadow the file."""
-    payload = dict(payload)
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
-    base = {k: v for k, v in payload.items() if k not in ("m", "xi")}
-    ms = payload.get("m", 500)
-    xis = payload.get("xi", 0.5)
-    ms = ms if isinstance(ms, list) else [ms]
-    xis = xis if isinstance(xis, list) else [xis]
-    if not ms or not xis:
-        raise ValueError("'m' and 'xi' need at least one value each")
-    return [[ProtocolConfig(**base, m_copies=m, xi=float(xi)) for xi in xis]
-            for m in ms]
-
-
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    groups = _simulate_points(payload, {"eta": args.eta, "m": args.m,
-                                        "xi": args.xi, "trials": args.trials,
-                                        "seed": args.seed})
-    # Heavy spectral work is shared per config family/eta and runs once,
-    # sequentially; only the sampling is fanned out.
-    dists = prepare_distributions(groups[0][0])
-    if dists.state.levels is None and groups[0][0].n_bath > 3:
+    if not isinstance(payload, dict):
+        raise ValueError("a simulate config must be a JSON object")
+    unknown = sorted(payload.keys() - {f.name for f in dataclasses.fields(ProtocolConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    # command-line overrides shadow the file
+    overrides = {"eta": args.eta, "m": args.m, "xi": args.xi, "trials": args.trials,
+                 "seed": args.seed}
+    cfg = ProtocolConfig(**{**payload, **{k: v for k, v in overrides.items() if v is not None}})
+    # the spectral work runs once, sequentially; only the sampling is fanned out
+    dists = prepare_distributions(cfg)
+    if dists.state.levels is None and cfg.n_bath > 3:
         sys.stderr.write("warning: general signal vectors gather a dense (signal x bath) "
                          "factor, slow above N_B = 3\n")
-    # every xi of one M reads the same draw: one sweep per M
-    def _sweep(cfgs):
-        return sim.xi_sweep(cfgs[0], [cfg.xi for cfg in cfgs], dists)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            sweeps = list(pool.map(_sweep, groups))
-    else:
-        sweeps = list(map(_sweep, groups))
-    reports = [rep for sweep in sweeps for rep in sweep]
+    reports = sim.simulate(cfg, dists, args.threads)
     lines = ["# schema: qi.sim.v1", ErrorReport.CSV_HEADER]
     best = None
     for rep in reports:
@@ -173,7 +148,7 @@ def cmd_simulate(args) -> int:
         floor = min(rep.rate_type1, rep.rate_type2)
         if not math.isnan(floor) and (best is None or floor > best[0]):
             best = (floor, rep.xi)
-    if best is not None and len(groups[0]) > 1:
+    if best is not None and len(cfg.xi) > 1:
         lines.append(f"# max-min-rate at xi={repr(best[1])}")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
@@ -224,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tmsv | coherent | cat:<d> | cat:inf | maxfock:<d>")
     p_qfi.add_argument("--ns", type=float, default=0.0, help="mean signal photons")
     p_qfi.add_argument("--nb", type=float, required=True, help="mean bath photons")
-    p_qfi.add_argument("--phase", type=float, default=0.0)
     p_qfi_cut = p_qfi.add_mutually_exclusive_group()
     p_qfi_cut.add_argument("--cutoff", type=int, default=None)
     p_qfi_cut.add_argument("--rel-tol", type=float, default=None,
@@ -272,8 +246,8 @@ def main(argv=None) -> int:
     except UnresolvedStatisticsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNRESOLVED
-    except (ValueError, DimensionError, TruncationError, FileNotFoundError,
-            KeyError, TypeError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, DimensionError, TruncationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -22,13 +22,16 @@ binomial streams are numpy's, so bit identity holds for a fixed numpy
 version.  Trial means are prefix-consistent, so the thresholds of one M
 share one draw: each xi reports on the prefix where its own doubling
 rule stops, with the same numbers as a sweep of that xi alone.
+
+A ``ProtocolConfig`` holds the grids of M and xi, and ``simulate`` runs
+them, one ``xi_sweep`` per M on one pair of outcome distributions.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -52,43 +55,55 @@ class UnresolvedStatisticsError(RuntimeError):
     """Too few error events to resolve an exponent at the trial budget."""
 
 
+def _is_int(v) -> bool:
+    # bool is an Integral: a JSON true would run as 1 and print "True"
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class ProtocolConfig:
-    """All parameters of one hypothesis-test run."""
+    """All parameters of one simulate run, one field per key of its JSON
+    config.  ``m`` and ``xi`` are the grids the run covers, every xi at
+    every M; a number stands for a one-element grid."""
 
     family: str = "tmsv"
     n_signal: float = 0.5
     n_bath: float = 1.0
     eta: float = 0.1                  # true reflectivity under H1
-    m_copies: int = 500               # copies averaged per trial
-    xi: float = 0.5                   # threshold fraction, declare at eta_hat > xi*eta
+    m: tuple = (500,)                 # copies averaged per trial
+    xi: tuple = (0.5,)                # threshold fractions, declare at eta_hat > xi*eta
     prior_absent: float = 0.5
     prior_present: float = 0.5
     trials: int = 100_000
     seed: int = 2024
     d_signal: int | None = None       # transmitter cutoff (None = qfi.default_cutoff)
     dim_bath: int | None = None       # returned-mode cutoff (None = qfi.thermal_cutoff)
-    phase: float = 0.0                # coherent-transmitter phase
     trials_cap_factor: int = 8        # adaptive doubling cap, multiple of trials
 
     def __post_init__(self):
+        self.m, self.xi = (tuple(v) if isinstance(v, (list, tuple)) else (v,)
+                           for v in (self.m, self.xi))
+        if not self.m or not self.xi:
+            raise ValueError("'m' and 'xi' need at least one value each")
         parse_family(self.family)
-        if not all(map(math.isfinite, (self.n_signal, self.n_bath, self.eta, self.phase,
-                                       self.prior_absent, self.prior_present))):
-            raise ValueError("n_signal, n_bath, eta, phase and priors must be finite")
+        for name in ("n_signal", "n_bath", "eta", "prior_absent", "prior_present"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.n_signal < 0 or self.n_bath < 0:
             raise ValueError("mean photon numbers must be >= 0")
-        if not 0.0 < self.xi < 1.0:
-            raise ValueError("threshold fraction must lie strictly between 0 and 1")
+        if not all(isinstance(x, numbers.Real) and 0.0 < x < 1.0 for x in self.xi):
+            raise ValueError(f"every xi must lie strictly between 0 and 1, "
+                             f"got {list(self.xi)!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        # bool is an Integral: a JSON true would run and print "True" as trials
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-                   for v in (self.m_copies, self.trials, self.trials_cap_factor)):
-            raise ValueError("m_copies, trials and trials_cap_factor must be integers >= 1")
+        if not all(_is_int(v) and v >= 1
+                   for v in (*self.m, self.trials, self.trials_cap_factor)):
+            raise ValueError("m, trials and trials_cap_factor must be integers >= 1")
+        self.m, self.xi = tuple(map(int, self.m)), tuple(map(float, self.xi))
         # the seed is the 64-bit Philox key: outside [0, 2^64) distinct seeds would collide
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < 1 << 64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
                 min(self.prior_absent, self.prior_present) < 0:
@@ -96,8 +111,7 @@ class ProtocolConfig:
         # a JSON true would run as cutoff 1, and 20.0 fail deep in numpy
         for name, least in (("d_signal", 1), ("dim_bath", 2)):
             v = getattr(self, name)
-            if v is not None and not (isinstance(v, numbers.Integral)
-                                      and not isinstance(v, bool) and v >= least):
+            if v is not None and not (_is_int(v) and v >= least):
                 raise ValueError(f"cutoff {name} must be >= {least} and an integer, got {v!r}")
 
 
@@ -140,18 +154,10 @@ class ErrorReport:
                   "Pr_err_opt_classical,seed")
 
     def to_csv_row(self) -> str:
-        cells = [self.family, repr(self.n_signal), repr(self.n_bath),
-                 repr(self.eta), repr(self.xi), str(self.m_copies),
-                 str(self.trials), str(self.errors_type1), str(self.errors_type2),
-                 repr(self.p_type1), repr(self.p_type1_ci[0]), repr(self.p_type1_ci[1]),
-                 repr(self.p_type2), repr(self.p_type2_ci[0]), repr(self.p_type2_ci[1]),
-                 repr(self.pr_err), repr(self.rate_type1_raw), repr(self.rate_type2_raw),
-                 repr(self.rate_type1), repr(self.rate_type1_err),
-                 repr(self.rate_type2), repr(self.rate_type2_err),
-                 repr(self.rate_type1_pred), repr(self.rate_type2_pred), repr(self.h),
-                 repr(self.p_type1_classical), repr(self.p_type2_classical),
-                 repr(self.pr_err_opt_classical), str(self.seed)]
-        return ",".join(cells)
+        # the fields are declared in CSV_HEADER's order, each CI as its (lo, hi)
+        # cells; str writes a float as repr does, and a numpy scalar as a number
+        cells = [c for v in astuple(self) for c in (v if isinstance(v, tuple) else (v,))]
+        return ",".join(map(str, cells))
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -335,7 +341,7 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     eigendecomposition runs once per configuration."""
     d_signal = cfg.d_signal or default_cutoff(cfg.family, cfg.n_signal)
     dim_bath = cfg.dim_bath or thermal_cutoff(cfg.n_bath, BATH_TAIL)
-    state = state_from_family(cfg.family, cfg.n_signal, d_signal, phase=cfg.phase)
+    state = state_from_family(cfg.family, cfg.n_signal, d_signal)
     rep = qfi_schmidt(state, cfg.n_bath)
     obs = sld_observable(state, cfg.n_bath, dim_bath)
     rho0 = received_state(state, cfg.n_bath, 0.0, dim_bath)
@@ -363,9 +369,9 @@ def _gauss_rate_point(p: float, p_lo: float, p_hi: float, m: int):
     return y / m, err / m
 
 
-def xi_sweep(cfg: ProtocolConfig, xi_grid,
-             dists: ProtocolDistributions | None = None) -> list:
-    """Run the threshold test over a grid of xi on one shared draw.
+def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
+    """Run the threshold test at M = ``m`` over the grid ``cfg.xi`` on one
+    shared draw.
 
     Both hypothesis branches are sampled once, and trials double
     (trials, 2 trials, ... up to ``trials_cap_factor`` times the configured
@@ -373,12 +379,9 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
     classes or the cap is reached; each doubling draws only the new
     trials.  Each xi then reports on the first rung of that ladder where
     both of its own error counts reach 50, or on the last one.  Trial
-    means are prefix-consistent, so every report equals ``run_protocol``
-    with that xi alone, bit for bit.  Deterministic given the seed.
+    means are prefix-consistent, so every report equals a sweep of that
+    xi alone, bit for bit.  Deterministic given the seed.
     """
-    if dists is None:
-        dists = prepare_distributions(cfg)
-    xis = [float(x) for x in xi_grid]
     trials = cfg.trials
     cap = cfg.trials * cfg.trials_cap_factor
     means0 = means1 = np.empty(0)
@@ -386,20 +389,20 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
     while True:
         drawn = len(means0)
         means0 = np.concatenate([means0, sample_means(
-            dists.dist_absent.values, dists.dist_absent.probabilities, cfg.m_copies,
-            trials - drawn, cfg.seed, stream=2 * cfg.m_copies, first=drawn)])
+            dists.dist_absent.values, dists.dist_absent.probabilities, m,
+            trials - drawn, cfg.seed, stream=2 * m, first=drawn)])
         means1 = np.concatenate([means1, sample_means(
-            dists.dist_present.values, dists.dist_present.probabilities, cfg.m_copies,
-            trials - drawn, cfg.seed, stream=2 * cfg.m_copies + 1, first=drawn)])
+            dists.dist_present.values, dists.dist_present.probabilities, m,
+            trials - drawn, cfg.seed, stream=2 * m + 1, first=drawn)])
         counts = [(int(np.count_nonzero(means0 > xi * cfg.eta)),
-                   int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in xis]
+                   int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in cfg.xi]
         ladder.append((trials, counts))
         if all(min(k1, k2) >= MIN_ERROR_EVENTS for k1, k2 in counts) or trials >= cap:
             break
         trials = min(cap, trials * 2)
 
     reports = []
-    for j, xi in enumerate(xis):
+    for j, xi in enumerate(cfg.xi):
         # where a sweep of this xi alone stops: its first resolved rung, else the last
         trials, counts = next((rung for rung in ladder
                                if min(rung[1][j]) >= MIN_ERROR_EVENTS), ladder[-1])
@@ -407,17 +410,16 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
         p1, p2 = k1 / trials, k2 / trials
         ci1 = wilson_interval(k1, trials)
         ci2 = wilson_interval(k2, trials)
-        rate1, err1 = _gauss_rate_point(p1, *ci1, cfg.m_copies)
-        rate2, err2 = _gauss_rate_point(p2, *ci2, cfg.m_copies)
-        c1, c2, c_opt = classical_error_closed(cfg.n_signal, cfg.n_bath, cfg.eta,
-                                               cfg.m_copies, xi)
+        rate1, err1 = _gauss_rate_point(p1, *ci1, m)
+        rate2, err2 = _gauss_rate_point(p2, *ci2, m)
+        c1, c2, c_opt = classical_error_closed(cfg.n_signal, cfg.n_bath, cfg.eta, m, xi)
         reports.append(ErrorReport(
             family=cfg.family,
             n_signal=cfg.n_signal,
             n_bath=cfg.n_bath,
             eta=cfg.eta,
             xi=xi,
-            m_copies=cfg.m_copies,
+            m_copies=m,
             trials=trials,
             errors_type1=k1,
             errors_type2=k2,
@@ -426,8 +428,8 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
             p_type2=p2,
             p_type2_ci=ci2,
             pr_err=cfg.prior_absent * p1 + cfg.prior_present * p2,
-            rate_type1_raw=-math.log(p1) / cfg.m_copies if p1 > 0 else math.inf,
-            rate_type2_raw=-math.log(p2) / cfg.m_copies if p2 > 0 else math.inf,
+            rate_type1_raw=-math.log(p1) / m if p1 > 0 else math.inf,
+            rate_type2_raw=-math.log(p2) / m if p2 > 0 else math.inf,
             rate_type1=rate1,
             rate_type1_err=err1,
             rate_type2=rate2,
@@ -443,10 +445,25 @@ def xi_sweep(cfg: ProtocolConfig, xi_grid,
     return reports
 
 
-def run_protocol(cfg: ProtocolConfig,
-                 dists: ProtocolDistributions | None = None) -> ErrorReport:
-    """Monte Carlo estimate of both error probabilities at one (M, xi)."""
-    return xi_sweep(cfg, [cfg.xi], dists)[0]
+def simulate(cfg: ProtocolConfig, dists: ProtocolDistributions | None = None,
+             threads: int = 1) -> list:
+    """Every (M, xi) report of a config, M-major in the order of ``cfg.m``
+    and ``cfg.xi``: one ``xi_sweep`` per M, all on one pair of outcome
+    distributions.  With ``threads > 1`` the M values run on a thread
+    pool; the reports are bit-identical either way."""
+    dists = dists or prepare_distributions(cfg)
+
+    def sweep(m):
+        return xi_sweep(cfg, m, dists)
+
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sweeps = list(pool.map(sweep, cfg.m))
+    else:
+        sweeps = map(sweep, cfg.m)
+    return [rep for reports in sweeps for rep in reports]
 
 
 def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):

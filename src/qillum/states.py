@@ -276,18 +276,18 @@ def parse_family(family: str):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_LABELS}")
 
 
-def state_from_family(family: str, n_signal: float, d_signal: int,
-                      phase: float = 0.0) -> SchmidtState:
+def state_from_family(family: str, n_signal: float, d_signal: int) -> SchmidtState:
     """Build a transmitter from its CLI/config label (see :func:`parse_family`).
 
     For ``maxfock`` the photon number is fixed by the rank and ``n_signal``
-    is ignored.
+    is ignored.  ``coherent`` is built at phase 0: a phase moves no result
+    beyond roundoff.
     """
     name, order = parse_family(family)
     if name == "tmsv":
         return tmsv(n_signal, d_signal)
     if name == "coherent":
-        return coherent(n_signal, phase, d_signal)
+        return coherent(n_signal, 0.0, d_signal)
     if name == "cat:inf":
         return cat_state_infinite_d(n_signal, d_signal)
     if name == "cat":

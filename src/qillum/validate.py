@@ -9,7 +9,7 @@ Each check reports a measured quantity against its expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .estimator import (eta_derivative, mgf_empirical, mgf_radius,
                         sld_observable, trace_moments, unbiasedness_check)
 from .qfi import (converge_cutoff, qfi_bounds, qfi_cat_direct,
                   qfi_gaussian_closed, qfi_schmidt)
-from .sim import (ProtocolConfig, gaussian_rate_fit, prepare_distributions,
-                  run_protocol, xi_sweep)
+from .sim import ProtocolConfig, gaussian_rate_fit, simulate
 from .states import (cat_state, cat_state_infinite_d, coherent,
                      max_entangled_fock, tmsv)
 
@@ -200,11 +199,9 @@ def check_mc_exponents() -> CheckResult:
     enough = True
     for family in ("coherent", "tmsv"):
         cfg = ProtocolConfig(family=family, n_signal=0.5, n_bath=1.0, eta=0.1,
-                             xi=0.5, trials=100_000, seed=7, m_copies=ms[0])
-        dists = prepare_distributions(cfg)
+                             xi=0.5, trials=100_000, seed=7, m=ms)
         ps, errs = [], []
-        for m in ms:
-            rep = run_protocol(replace(cfg, m_copies=m), dists)
+        for rep in simulate(cfg):
             enough &= rep.trials >= 100_000
             ps.append(rep.p_type1)
             errs.append(0.5 * (rep.p_type1_ci[1] - rep.p_type1_ci[0]) / 1.96)
@@ -225,8 +222,9 @@ def check_mc_exponents() -> CheckResult:
 
 def check_xi_optimality() -> CheckResult:
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.1,
-                         xi=0.5, trials=100_000, seed=11, m_copies=1000)
-    reports = xi_sweep(cfg, [round(0.1 * k, 1) for k in range(1, 10)])
+                         xi=[round(0.1 * k, 1) for k in range(1, 10)], trials=100_000,
+                         seed=11, m=1000)
+    reports = simulate(cfg)
     floors = {}
     for rep in reports:
         lo = min(rep.rate_type1 - rep.rate_type1_err,

@@ -65,10 +65,9 @@ def test_qfi_invalid_params_exit_2(capsys):
     assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
                      "--cutoff", "0"]) == 2
     assert "cutoff must be >= 1" in capsys.readouterr().err
-    # non-finite photon numbers and phases are rejected at the boundary
+    # non-finite photon numbers are rejected at the boundary
     for argv in (["--family", "tmsv", "--ns", "1", "--nb", "nan"],
                  ["--family", "tmsv", "--ns", "1", "--nb", "inf"],
-                 ["--family", "coherent", "--ns", "1", "--nb", "1", "--phase", "nan"],
                  ["--family", "coherent", "--ns", "inf", "--nb", "1"]):
         assert cli.main(["qfi", *argv]) == 2
         assert "must be finite" in capsys.readouterr().err
@@ -284,6 +283,83 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_simulate_bad_config_exits_2_naming_the_key(tmp_path, capsys):
+    # each reaches main as a ValueError, not as a TypeError of Python's own
+    import qillum.cli as cli
+
+    good = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.1,
+            "m": 50, "xi": 0.5, "trials": 100}
+    cases = [(dict(good, n_signal="0.5"), "n_signal"),
+             (dict(good, eta=None), "eta"),
+             (dict(good, n_bath={"mean": 1.0}), "n_bath"),
+             (dict(good, prior_absent="half"), "prior_absent"),
+             (dict(good, xi=[0.5, None]), "xi"),
+             (dict(good, xi={"lo": 0.3}), "xi"),
+             (dict(good, xi="0.5"), "xi"),
+             (dict(good, m=[[200]]), "m, trials"),
+             (dict(good, m=None), "m, trials"),
+             (dict(good, trials="100"), "trials"),
+             (dict(good, trials_cap_factor=[8]), "trials_cap_factor"),
+             (dict(good, seed=None), "seed"),
+             (dict(good, d_signal=[20]), "d_signal"),
+             (dict(good, family=None), "family"),
+             (dict(good, family=["tmsv"]), "family"),
+             (dict(good, foo=1), "'foo'"),
+             (dict(good, phase=0.0), "'phase'"),
+             (dict(good, m_copies=50), "'m_copies'"),
+             ([1, 2], "JSON object"),
+             ("tmsv", "JSON object"),
+             (None, "JSON object")]
+    path = tmp_path / "bad.json"
+    for payload, key in cases:
+        path.write_text(json.dumps(payload))
+        assert cli.main(["simulate", "--config", str(path)]) == 2, payload
+        assert key in capsys.readouterr().err, payload
+    # a file that is not JSON, or not UTF-8
+    for raw in (b'{"family": ', b"\xff\xfe"):
+        path.write_bytes(raw)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_threads_and_os_errors_exit_2(tmp_path, capsys):
+    import qillum.cli as cli
+
+    config = tmp_path / "protocol.json"
+    config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0,
+                                  "eta": 0.1, "m": 20, "xi": 0.5, "trials": 200}))
+    for threads in ("0", "-3"):
+        assert cli.main(["simulate", "--config", str(config), "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+    # a directory where a file belongs is a usage error, like a missing file
+    for argv in (["simulate", "--config", str(tmp_path)],
+                 ["simulate", "--config", str(config), "--out", str(tmp_path)],
+                 ["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv"),
+                  "--json-out", str(tmp_path)],
+                 ["qfi", "--family", "tmsv", "--ns", "1", "--nb", "1", "--out", str(tmp_path)]):
+        assert cli.main(argv) == 2
+        assert "directory" in capsys.readouterr().err
+
+
+def test_simulate_csv_rows_are_the_library_reports(tmp_path):
+    import qillum.cli as cli
+    from qillum.sim import ProtocolConfig, simulate
+
+    payload = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.3,
+               "m": [100, 200], "xi": [0.3, 0.5, 0.7], "trials": 300, "seed": 11,
+               "trials_cap_factor": 64, "d_signal": 16, "dim_bath": 16}
+    config, out, json_out = (tmp_path / name for name in ("c.json", "s.csv", "s.json"))
+    config.write_text(json.dumps(payload))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                     "--json-out", str(json_out)]) == 0
+    reports = simulate(ProtocolConfig(**payload))
+    lines = out.read_text().split("\n")
+    assert lines[2:2 + len(reports)] == [rep.to_csv_row() for rep in reports]
+    assert [(r.m_copies, r.xi) for r in reports] == \
+        [(m, xi) for m in payload["m"] for xi in payload["xi"]]
+    assert json.loads(json_out.read_text()) == [rep.to_json_dict() for rep in reports]
+
+
 def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
     import qillum.cli as cli
 
@@ -475,7 +551,7 @@ def test_qfi_and_simulate_share_one_cutoff_rule():
     from qillum.sim import ProtocolConfig, prepare_distributions
 
     for family in ("tmsv", "coherent", "cat:2", "cat:3", "cat:inf", "maxfock:4"):
-        report = cli._qfi_report(family, 0.5, 0.1, None, 0.0)
+        report = cli._qfi_report(family, 0.5, 0.1, None)
         cfg = ProtocolConfig(family=family, n_signal=0.5, n_bath=0.1)
         assert prepare_distributions(cfg).state.d_signal == report.cutoff, family
         assert report.family == family

@@ -3,7 +3,9 @@
 import functools
 import json
 import math
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qillum.sim import (GUIDE_SIZE, HEAD_DRAWS, MIN_ERROR_EVENTS, SAMPLE_CHUNK,
                         ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                         _chunk_generator, _erfcinv_2p, _guide_table,
                         classical_error_closed, gaussian_rate_fit, prepare_distributions,
-                        run_protocol, sample_means, wilson_interval, xi_sweep)
+                        sample_means, simulate, wilson_interval)
 
 GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
 
@@ -83,7 +85,7 @@ def outcome_distributions(draw):
 @pytest.fixture(scope="module")
 def coherent_setup():
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.1,
-                         xi=0.5, trials=20000, seed=5, m_copies=300)
+                         xi=0.5, trials=20000, seed=5, m=300)
     return cfg, prepare_distributions(cfg)
 
 
@@ -121,22 +123,37 @@ def test_config_validation():
         with pytest.raises(ValueError, match="cutoff"):
             ProtocolConfig(**bad)
     for bad in (dict(n_signal=math.nan), dict(n_bath=math.inf), dict(eta=math.nan),
-                dict(family="coherent", phase=math.nan), dict(phase=-math.inf),
                 dict(prior_absent=math.nan), dict(prior_present=math.nan),
-                dict(prior_absent=math.inf, prior_present=-math.inf)):
+                dict(prior_absent=math.inf, prior_present=-math.inf),
+                dict(n_signal="0.5"), dict(eta=None), dict(n_bath=True),
+                dict(prior_present=[0.5])):
         with pytest.raises(ValueError, match="finite"):
+            ProtocolConfig(**bad)
+    # every grid point is checked, and an empty grid is no run
+    for bad in (dict(m=[]), dict(xi=[]), dict(m=())):
+        with pytest.raises(ValueError, match="at least one value"):
+            ProtocolConfig(**bad)
+    for bad in (dict(xi=[0.5, 1.0]), dict(xi=[0.5, None]), dict(xi="0.5"),
+                dict(xi=[[0.5]]), dict(xi=math.nan)):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
             ProtocolConfig(**bad)
     # constructor only: an infinite cap would double trials without bound
     for bad in (dict(trials_cap_factor=math.inf), dict(trials_cap_factor=0),
                 dict(trials_cap_factor=2.5), dict(trials=2.5), dict(trials=1e5),
-                dict(trials=-3), dict(m_copies=0), dict(m_copies=50.9),
-                dict(trials=True)):
+                dict(trials=-3), dict(m=0), dict(m=50.9),
+                dict(trials=True), dict(m=[100, 0]), dict(m=[100, True]), dict(m=[[100]]),
+                dict(m="100"), dict(trials=None)):
         with pytest.raises(ValueError, match="integers >= 1"):
             ProtocolConfig(**bad)
     assert ProtocolConfig(trials=1, trials_cap_factor=1).trials_cap_factor == 1
     assert ProtocolConfig(eta=1.0).eta == 1.0
     assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
     assert ProtocolConfig(d_signal=np.int64(20), dim_bath=None).d_signal == 20
+    # a number is a one-element grid, and a list a tuple
+    cfg = ProtocolConfig(m=np.int64(100), xi=0.3)
+    assert (cfg.m, cfg.xi) == ((100,), (0.3,)) and type(cfg.m[0]) is int
+    assert ProtocolConfig(m=[200, 100], xi=[0.5, 0.3]).m == (200, 100)
+    assert ProtocolConfig(m=[200, 100], xi=[0.5, 0.3]).xi == (0.5, 0.3)
 
 
 def test_config_seed_is_a_64_bit_key():
@@ -167,6 +184,15 @@ def test_config_json_roundtrip():
     cfg = ProtocolConfig(family="cat:2", n_signal=0.3, seed=99, d_signal=20)
     clone = ProtocolConfig(**json.loads(json.dumps(asdict(cfg))))
     assert clone == cfg
+
+
+def test_readme_simulate_config_is_a_protocol_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    payload = json.loads(block)
+    cfg = ProtocolConfig(**payload)
+    assert {key: getattr(cfg, key) for key in payload} == \
+        dict(payload, m=tuple(payload["m"]), xi=(payload["xi"],))
 
 
 def test_wilson_interval_basics():
@@ -399,14 +425,14 @@ def test_sample_means_statistics():
 
 def test_run_protocol_deterministic(coherent_setup):
     cfg, dists = coherent_setup
-    a = run_protocol(cfg, dists)
-    b = run_protocol(cfg, dists)
+    a = simulate(cfg, dists)[0]
+    b = simulate(cfg, dists)[0]
     assert a == b
 
 
 def test_run_protocol_report_contents(coherent_setup):
     cfg, dists = coherent_setup
-    rep = run_protocol(cfg, dists)
+    rep = simulate(cfg, dists)[0]
     assert 0.0 <= rep.p_type1 <= 1.0
     assert rep.p_type1_ci[0] <= rep.p_type1 <= rep.p_type1_ci[1]
     assert rep.p_type2_ci[0] <= rep.p_type2 <= rep.p_type2_ci[1]
@@ -421,28 +447,28 @@ def test_run_protocol_report_contents(coherent_setup):
 def test_run_protocol_adaptive_extension():
     # M large enough that errors are rare at the starting trial count
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3,
-                         xi=0.5, trials=400, seed=2, m_copies=2000,
+                         xi=0.5, trials=400, seed=2, m=2000,
                          trials_cap_factor=64)
-    rep = run_protocol(cfg)
+    rep = simulate(cfg)[0]
     assert rep.trials > 400
     assert min(rep.errors_type1, rep.errors_type2) >= 50 or rep.trials == 400 * 64
 
 
 def test_estimator_moments_near_cramer_rao():
     cfg = ProtocolConfig(family="tmsv", n_signal=0.5, n_bath=1.0, eta=0.05,
-                         xi=0.5, trials=50000, seed=3, m_copies=400)
+                         xi=0.5, trials=50000, seed=3, m=400)
     dists = prepare_distributions(cfg)
     means = sample_means(dists.dist_present.values,
                          dists.dist_present.probabilities,
-                         cfg.m_copies, cfg.trials, cfg.seed, stream=1)
+                         cfg.m[0], cfg.trials, cfg.seed, stream=1)
     se = math.sqrt(means.var() / cfg.trials)
     assert abs(means.mean() - cfg.eta) < 4 * se + 0.02 * cfg.eta
-    assert means.var() == pytest.approx(1.0 / (cfg.m_copies * dists.h), rel=0.05)
+    assert means.var() == pytest.approx(1.0 / (cfg.m[0] * dists.h), rel=0.05)
 
 
 def test_xi_sweep_monotone(coherent_setup):
     cfg, dists = coherent_setup
-    reports = xi_sweep(cfg, [0.2, 0.4, 0.6, 0.8], dists)
+    reports = simulate(replace(cfg, xi=[0.2, 0.4, 0.6, 0.8]), dists)
     p1 = [r.p_type1 for r in reports]
     p2 = [r.p_type2 for r in reports]
     assert all(a >= b for a, b in zip(p1, p1[1:]))
@@ -453,24 +479,24 @@ def test_xi_sweep_monotone(coherent_setup):
 def doubling_setup():
     """A sweep whose xi rows stop on different rungs of the doubling."""
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3, xi=0.5,
-                         m_copies=200, trials=300, seed=11, trials_cap_factor=64,
+                         m=200, trials=300, seed=11, trials_cap_factor=64,
                          d_signal=16, dim_bath=16)
     return cfg, [0.3, 0.5, 0.7], prepare_distributions(cfg)
 
 
 def test_xi_sweep_doublings_match_redrawn_trials(doubling_setup):
     cfg, xis, dists = doubling_setup
-    reports = xi_sweep(cfg, xis, dists)
+    reports = simulate(replace(cfg, xi=xis), dists)
+    m, = cfg.m
 
     @functools.cache
     def redraw(trials):
         return (searchsorted_sample_means(dists.dist_absent.values,
                                           dists.dist_absent.probabilities,
-                                          cfg.m_copies, trials, cfg.seed, 2 * cfg.m_copies),
+                                          m, trials, cfg.seed, 2 * m),
                 searchsorted_sample_means(dists.dist_present.values,
                                           dists.dist_present.probabilities,
-                                          cfg.m_copies, trials, cfg.seed,
-                                          2 * cfg.m_copies + 1))
+                                          m, trials, cfg.seed, 2 * m + 1))
 
     # oracle: each xi redraws all trials with the binary-search sampler,
     # doubling until both of its own error counts reach 50
@@ -491,23 +517,23 @@ def test_xi_sweep_doublings_match_redrawn_trials(doubling_setup):
 
 def test_xi_sweep_equals_run_protocol_per_xi(doubling_setup):
     cfg, xis, dists = doubling_setup
-    reports = xi_sweep(cfg, xis, dists)
+    reports = simulate(replace(cfg, xi=xis), dists)
     assert len({r.trials for r in reports}) > 1
-    assert reports == [run_protocol(replace(cfg, xi=xi), dists) for xi in xis]
+    assert reports == [simulate(replace(cfg, xi=xi), dists)[0] for xi in xis]
 
 
 def test_xi_branch_rate_scaling(coherent_setup):
     cfg, dists = coherent_setup
-    rep = run_protocol(replace(cfg, xi=0.3, trials=100000, m_copies=500), dists)
+    rep = simulate(replace(cfg, xi=0.3, trials=100000, m=500), dists)[0]
     ratio = rep.rate_type1 / rep.rate_type2
     assert ratio == pytest.approx(0.3 ** 2 / 0.7 ** 2, rel=0.10)
 
 
 def test_quantum_exponent_beats_classical():
     common = dict(n_signal=0.5, n_bath=1.0, eta=0.1, xi=0.5,
-                  trials=50000, seed=13, m_copies=1000)
-    rep_q = run_protocol(ProtocolConfig(family="tmsv", **common))
-    rep_c = run_protocol(ProtocolConfig(family="coherent", **common))
+                  trials=50000, seed=13, m=1000)
+    rep_q = simulate(ProtocolConfig(family="tmsv", **common))[0]
+    rep_c = simulate(ProtocolConfig(family="coherent", **common))[0]
     assert rep_q.h > rep_c.h
     assert rep_q.rate_type1 > rep_c.rate_type1
     assert rep_q.rate_type2 > rep_c.rate_type2
@@ -521,8 +547,34 @@ def test_tmsv_gain_prediction():
 
 def test_error_report_csv_row(coherent_setup):
     cfg, dists = coherent_setup
-    rep = run_protocol(cfg, dists)
+    rep = simulate(cfg, dists)[0]
     row = rep.to_csv_row()
     assert len(row.split(",")) == len(ErrorReport.CSV_HEADER.split(","))
     payload = rep.to_json_dict()
     assert payload["p_type1"] == rep.p_type1
+
+
+def test_error_report_csv_cells_sit_under_their_header():
+    # every field holds its own value, so a cell under a wrong name shows
+    values = {f.name: i + 0.5 for i, f in enumerate(fields(ErrorReport))}
+    values.update(family="cat:3", m_copies=1000, trials=2048, errors_type1=51,
+                  errors_type2=77, seed=(1 << 63) + 5, p_type1_ci=(0.125, 0.25),
+                  p_type2_ci=(0.375, 0.625), h=np.float64(20.75), rate_type1_raw=math.inf)
+    row = ErrorReport(**values).to_csv_row().split(",")
+    header = ErrorReport.CSV_HEADER.split(",")
+    assert len(row) == len(header) == 29
+    columns = {"family": "family", "N_S": "n_signal", "N_B": "n_bath", "eta": "eta",
+               "xi": "xi", "M": "m_copies", "trials": "trials", "errors_I": "errors_type1",
+               "errors_II": "errors_type2", "P_I": "p_type1", "P_II": "p_type2",
+               "Pr_err": "pr_err", "rate_I_raw": "rate_type1_raw",
+               "rate_II_raw": "rate_type2_raw", "rate_I": "rate_type1",
+               "rate_I_err": "rate_type1_err", "rate_II": "rate_type2",
+               "rate_II_err": "rate_type2_err", "rate_I_pred": "rate_type1_pred",
+               "rate_II_pred": "rate_type2_pred", "H": "h",
+               "P_I_classical": "p_type1_classical", "P_II_classical": "p_type2_classical",
+               "Pr_err_opt_classical": "pr_err_opt_classical", "seed": "seed"}
+    expected = {name: str(values[field]) for name, field in columns.items()}
+    expected.update(P_I_lo="0.125", P_I_hi="0.25", P_II_lo="0.375", P_II_hi="0.625")
+    assert dict(zip(header, row)) == expected
+    assert expected["M"] == "1000" and expected["seed"] == "9223372036854775813"
+    assert expected["H"] == "20.75" and expected["rate_I_raw"] == "inf"
