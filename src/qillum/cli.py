@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -87,6 +89,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise,
+    without creating or truncating it; no path is standard output."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_qfi(args) -> int:
     report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
     if args.format == "csv":
@@ -135,6 +151,9 @@ def cmd_simulate(args) -> int:
     overrides = {"eta": args.eta, "m": args.m, "xi": args.xi, "trials": args.trials,
                  "seed": args.seed}
     cfg = ProtocolConfig(**{**payload, **{k: v for k, v in overrides.items() if v is not None}})
+    # a bad output path fails before the run, and leaves neither file written
+    for path in (args.out, args.json_out):
+        _check_writable(path)
     # the spectral work runs once, sequentially; only the sampling is fanned out
     dists = prepare_distributions(cfg)
     if dists.state.levels is None and cfg.n_bath > 3:

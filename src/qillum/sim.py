@@ -14,14 +14,16 @@ These are the rates compared against the predictions xi^2 eta^2 H / 2.
 
 Sampling uses counter-based RNG streams keyed by (seed, stream, chunk),
 and a chunk of SAMPLE_CHUNK trials is the unit of generation: each chunk
-is drawn whole from its own stream, independently of execution order,
+is drawn whole from its own streams, independently of execution order,
 so results are bit-identical across runs and thread counts.  Within a
 chunk the likely outcomes are counted with one multinomial draw per
-trial and only the rest are drawn one by one (``sample_means``).  The
-binomial streams are numpy's, so bit identity holds for a fixed numpy
-version.  Trial means are prefix-consistent, so the thresholds of one M
-share one draw: each xi reports on the prefix where its own doubling
-rule stops, with the same numbers as a sweep of that xi alone.
+trial and only the rest are drawn one by one, several draws from each
+raw Philox word (``sample_means``).  The binomial streams are numpy's
+and the words are read in native byte order, so bit identity holds for
+a fixed numpy version and byte order.  Trial means are
+prefix-consistent, so the thresholds of one M share one draw: each xi
+reports on the prefix where its own doubling rule stops, with the same
+numbers as a sweep of that xi alone.
 
 A ``ProtocolConfig`` holds the grids of M and xi, and ``simulate`` runs
 them, one ``xi_sweep`` per M on one pair of outcome distributions.
@@ -43,11 +45,13 @@ from .states import SchmidtState, parse_family, state_from_family
 # trials per Philox chunk, the unit of generation: a doubling ladder from a
 # multiple of it (2048 trials, say) never generates a chunk twice
 SAMPLE_CHUNK = 1024
-GUIDE_SIZE = 1 << 14      # fewest guide-table buckets; powers of two keep u * size exact
-BLOCK_DRAWS = 1 << 15     # uniforms per sampling block, small enough to stay in cache
+GUIDE_SIZE = 1 << 14      # fewest guide-table buckets; powers of two, read from raw bits
+BLOCK_DRAWS = 1 << 15     # draws per sampling block, small enough to stay in cache
 # an outcome expected at least this often per trial is counted by a binomial
-# (100-175 ns) rather than drawn one by one (13-20 ns a draw)
-HEAD_DRAWS = 8
+# rather than drawn one by one: above M p = 30 numpy's binomial is BTPE, at
+# 90-105 ns, against 5-6 ns a packed draw, but below it is inversion, whose
+# 120-240 ns (M p = 10-29) grows with M p and buys no more than the draws
+HEAD_DRAWS = 30
 MIN_ERROR_EVENTS = 50
 
 
@@ -195,10 +199,12 @@ def classical_error_closed(n_signal: float, n_bath: float, eta: float,
     return p1, p2, pr_opt
 
 
-def _chunk_generator(seed: int, stream: int, chunk: int) -> Generator:
-    """The counter-based generator of one trial chunk; order-independent."""
+def _chunk_generator(seed: int, stream: int, chunk: int, part: int = 0) -> Generator:
+    """The counter-based generator of one trial chunk, order-independent:
+    part 0 draws the counts and the tail lanes, part 1 the fresh words of
+    the tail draws that a guide bucket does not resolve."""
     # a uint64 array: a list with a seed >= 2^63 would pass through float64
-    return Generator(Philox(counter=[0, chunk, 0, 0],
+    return Generator(Philox(counter=[0, chunk, part, 0],
                             key=np.array([seed, stream], dtype=np.uint64)))
 
 
@@ -214,40 +220,60 @@ def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, vals[lo], np.nan)
 
 
-def _tail_sums(gen: Generator, counts: np.ndarray, vals: np.ndarray,
+def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.ndarray,
                cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
     """Per trial, the sum of ``counts[t]`` inverse-CDF draws from the tail
     outcomes ``vals``, drawn in trial order in blocks of whole trials of
-    at most BLOCK_DRAWS uniforms (one trial at least).
+    at most BLOCK_DRAWS draws (one trial at least).
 
     A draw u selects the outcome i with cdf[i-1] <= u < cdf[i].  A guide
-    table (Chen & Asau, AIIE Trans. 6, 163, 1974) resolves most draws
-    with one lookup: every bucket of u that no CDF step enters holds its
-    outcome directly, and only draws in the other buckets (at most one
-    per outcome) take the binary search.  Both routes pick the same
-    outcome as a plain binary search.
+    table (Chen & Asau, AIIE Trans. 6, 163, 1974) of 2^b buckets resolves
+    most draws with one lookup: every bucket of u that no CDF step enters
+    holds its outcome directly, and only draws in the other buckets (at
+    most one per outcome) take the binary search.
 
-    The draws are read as raw 64-bit words r, the words ``gen.random``
-    turns into u = (r >> 11) 2^-53, so the bucket of u in a table of 2^b
-    buckets is r >> (64 - b), with no float pass.
+    A bucket needs b bits, so each raw 64-bit word of ``gen`` gives
+    several draws: it is read as 16-bit lanes when b <= 16, as 32-bit
+    lanes otherwise, in native byte order, and a lane's top b bits are
+    its bucket.  A draw whose bucket holds a CDF step takes the next raw
+    word r of ``fresh`` for its place in the bucket, u = (bucket 2^(53-b)
+    + (r >> (11 + b))) 2^-53.  So u is uniform on the 2^-53 grid of
+    ``Generator.random``, and every outcome keeps its exact probability.
+    Draw k is lane k of ``gen`` and the j-th draw taking a fresh word
+    takes word j of ``fresh``, so the counts fix both streams' layout.
     """
-    shift = 65 - len(guide).bit_length()
+    bits = len(guide).bit_length() - 1
+    lane = np.dtype(np.uint16 if bits <= 16 else np.uint32)
+    per_word = 8 // lane.itemsize
+    shift = 8 * lane.itemsize - bits
     offsets = np.concatenate(([0], np.cumsum(counts)))
     sums = np.zeros(len(counts))
+    words_drawn = 0
     t = 0
     while t < len(counts):
         s = max(t + 1, int(np.searchsorted(offsets, offsets[t] + BLOCK_DRAWS,
                                            side="right")) - 1)
-        raw = gen.bit_generator.random_raw(offsets[s] - offsets[t])
-        x = guide[(raw >> shift).view(np.intp)]
-        miss = np.isnan(x)
-        if miss.any():
-            u = (raw[miss] >> 11) * 2.0 ** -53
+        start, stop = offsets[t], offsets[s]
+        words = gen.bit_generator.random_raw(-(-stop // per_word) - words_drawn)
+        words_drawn += len(words)
+        first = start % per_word
+        if first:
+            # the block's first lanes are in the previous block's last word
+            words = np.concatenate((last, words))
+        last = words[-1:]
+        # a gather is fastest with an intp index
+        bucket = (words.view(lane)[first:first + stop - start] >> shift).astype(np.intp)
+        x = guide.take(bucket)
+        miss = np.flatnonzero(np.isnan(x))
+        if len(miss):
+            r = fresh.bit_generator.random_raw(len(miss))
+            u = ((bucket[miss].astype(np.uint64) << (53 - bits))
+                 | (r >> (11 + bits))) * 2.0 ** -53
             x[miss] = vals[np.searchsorted(cdf, u, side="right")]
         # reduceat gives an empty segment the value at its start, not 0
         drawn = np.flatnonzero(counts[t:s]) + t
         if len(drawn):
-            sums[drawn] = np.add.reduceat(x, offsets[drawn] - offsets[t])
+            sums[drawn] = np.add.reduceat(x, offsets[drawn] - start)
         t = s
     return sums
 
@@ -259,7 +285,7 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     Returns the means of trials ``first`` to ``first + trials - 1``.  Trial
     t is row t mod SAMPLE_CHUNK of chunk t // SAMPLE_CHUNK.  A chunk is the
     unit of generation: every chunk the range touches is generated on its
-    own stream from its start, up to the range's end, and the result
+    own streams from its start, up to the range's end, and the result
     sliced, so drawing a trial range in parts gives the same means as
     drawing it at once.
 
@@ -269,13 +295,15 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     p_tail])`` call gives every trial of the chunk its head counts and
     its tail count c, by conditional binomials (C. S. Davis, Comput.
     Stat. Data Anal. 16, 205, 1993), and the head sum is the row sum of
-    counts times values.  Each trial's c tail draws then come one by one
-    from the same generator, in trial order, through a guide table over
-    the tail outcomes (``_tail_sums``).  Given the counts, the tail draws
-    are independent draws from the tail's conditional law, so every mean
-    has the law of m independent draws.  No BLAS call is involved, so the
-    means do not depend on the BLAS thread count.  The binomials are
-    numpy's, so the means are bit-identical for a fixed numpy version.
+    counts times values.  Each trial's c tail draws then come one by one,
+    in trial order, through a guide table over the tail outcomes, several
+    draws from each raw word of the same generator (``_tail_sums``).
+    Given the counts, the tail draws are independent draws from the
+    tail's conditional law, so every mean has the law of m independent
+    draws.  No BLAS call is involved, so the means do not depend on the
+    BLAS thread count.  The binomials are numpy's and the words are read
+    in native byte order, so the means are bit-identical for a fixed
+    numpy version and byte order.
 
     Probabilities below zero (roundoff down to -1e-10) are clamped to
     zero, and the distribution is normalized by its total mass; NaN or
@@ -319,7 +347,8 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
         counts = gen.multinomial(m, pvals, size=SAMPLE_CHUNK)[:n]
         sums = (counts[:, :len(head_vals)] * head_vals).sum(axis=1)
         if len(tail_vals):
-            sums += _tail_sums(gen, counts[:, -1], tail_vals, cdf, guide)
+            sums += _tail_sums(gen, _chunk_generator(seed, stream, chunk, part=1),
+                               counts[:, -1], tail_vals, cdf, guide)
         begin = max(first, lo)
         out[begin - first:lo + n - first] = sums[begin - lo:] / m
     return out

@@ -341,6 +341,34 @@ def test_simulate_threads_and_os_errors_exit_2(tmp_path, capsys):
         assert "directory" in capsys.readouterr().err
 
 
+def assert_bad_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, bad):
+    import qillum.cli as cli
+
+    def prepare(cfg):
+        raise AssertionError("distributions prepared")
+
+    monkeypatch.setattr(cli, "prepare_distributions", prepare)
+    config = tmp_path / "protocol.json"
+    config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0,
+                                  "eta": 0.1, "m": 20, "xi": 0.5, "trials": 200}))
+    outs = {"--out": tmp_path / "s.csv", "--json-out": tmp_path / "s.json"}
+    outs[bad] = tmp_path / "no_such_dir" / outs[bad].name
+    argv = ["simulate", "--config", str(config)]
+    assert cli.main(argv + [arg for flag, path in outs.items() for arg in (flag, str(path))]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    # neither output was written
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_simulate_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    assert_bad_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, "--out")
+
+
+def test_simulate_bad_json_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # the CSV path is good, and is not written either
+    assert_bad_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, "--json-out")
+
+
 def test_simulate_csv_rows_are_the_library_reports(tmp_path):
     import qillum.cli as cli
     from qillum.sim import ProtocolConfig, simulate

@@ -25,9 +25,14 @@ GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
 def searchsorted_sample_means(values, probabilities, m, trials, seed, stream):
     """Oracle: the sampling rule written plainly, one whole chunk at a time.
     Per chunk, one multinomial gives every trial its head counts and its
-    tail count; the chunk's tail draws follow in trial order, each mapped
-    to its outcome by a binary search over the tail CDF, and each trial
-    sums its own."""
+    tail count.  The words after it hold the chunk's tail draws in trial
+    order, as 16-bit lanes in native byte order, or 32-bit lanes when the
+    guide table has more than 2^16 buckets.  A lane's top b bits give its
+    bucket [k, k + 1) / 2^b of u.  Where binary searches over the tail CDF
+    at both bucket edges agree, that outcome is the draw; else the next
+    word r of the chunk's second stream places u in the bucket, u = (k
+    2^(53-b) + (r >> (11 + b))) 2^-53, and a binary search finds its
+    outcome.  Each trial sums its own."""
     order = np.argsort(values)
     vals = values[order]
     p = np.maximum(probabilities[order], 0.0)
@@ -41,18 +46,32 @@ def searchsorted_sample_means(values, probabilities, m, trials, seed, stream):
         pvals = np.append(head_p, max(0.0, 1.0 - head_p.sum()))
         cdf = np.cumsum(tail_p)
         cdf /= cdf[-1]
+        size = max(GUIDE_SIZE, 1 << (4 * len(tail_vals) - 1).bit_length())
+        bits = size.bit_length() - 1
+        lane, width = (np.uint16, 16) if bits <= 16 else (np.uint32, 32)
     else:
         pvals = head_p
     out = np.empty(trials)
     for start in range(0, trials, SAMPLE_CHUNK):
-        gen = Generator(Philox(counter=[0, start // SAMPLE_CHUNK, 0, 0],
-                               key=np.array([seed, stream], dtype=np.uint64)))
-        counts = gen.multinomial(m, pvals, size=SAMPLE_CHUNK)
-        tail_counts = counts[:, k] if len(tail_vals) else np.zeros(SAMPLE_CHUNK, dtype=int)
-        x = tail_vals[np.searchsorted(cdf, gen.random(tail_counts.sum()), side="right")] \
-            if len(tail_vals) else np.empty(0)
+        n = min(SAMPLE_CHUNK, trials - start)
+        key = np.array([seed, stream], dtype=np.uint64)
+        gen = Philox(counter=[0, start // SAMPLE_CHUNK, 0, 0], key=key)
+        counts = Generator(gen).multinomial(m, pvals, size=SAMPLE_CHUNK)[:n]
+        tail_counts = counts[:, k] if len(tail_vals) else np.zeros(n, dtype=int)
+        x = np.empty(0)
+        if len(tail_vals):
+            words = gen.random_raw(math.ceil(tail_counts.sum() * width / 64))
+            bucket = words.view(lane)[:tail_counts.sum()] >> (width - bits)
+            lo = np.searchsorted(cdf, bucket / size, side="right")
+            hi = np.searchsorted(cdf, (bucket + 1.0) / size, side="left")
+            miss = lo != hi
+            fresh = Philox(counter=[0, start // SAMPLE_CHUNK, 1, 0], key=key)
+            r = fresh.random_raw(np.count_nonzero(miss))
+            u = (bucket[miss] * 2.0 ** (53 - bits) + (r >> (11 + bits))) * 2.0 ** -53
+            lo[miss] = np.searchsorted(cdf, u, side="right")
+            x = tail_vals[lo]
         ends = np.cumsum(tail_counts)
-        for t in range(min(SAMPLE_CHUNK, trials - start)):
+        for t in range(n):
             c = tail_counts[t]
             tail = np.add.reduceat(x[ends[t] - c:ends[t]], [0])[0] if c else 0.0
             out[start + t] = ((counts[t, :k] * head_vals).sum() + tail) / m
@@ -299,7 +318,7 @@ def test_sample_means_all_head():
     # every outcome is counted (m p >= HEAD_DRAWS): no tail and no uniform draws
     values = np.array([1.0, 2.0, 4.0])
     probs = np.array([0.5, 0.3, 0.2])
-    m = 100
+    m = 200
     assert np.all(m * probs >= HEAD_DRAWS)
     out = sample_means(values, probs, m, 3000, seed=3, stream=1)
     assert np.array_equal(out, searchsorted_sample_means(values, probs, m, 3000, 3, 1))
@@ -316,8 +335,8 @@ def test_sample_means_all_head():
 def test_sample_means_zero_probability_outcomes_change_nothing():
     # a zero-probability outcome is never drawn, in the head's or the tail's range;
     # below 8 outcomes the total mass is a plain sum, so inserting zeros keeps it exact
-    for values, probs, m in (([0.0, 5.0], [0.5, 0.5], 50),             # all head
-                             ([0.0, 1.0, 2.0], [0.6, 0.3, 0.1], 20),   # head and tail
+    for values, probs, m in (([0.0, 5.0], [0.5, 0.5], 100),            # all head
+                             ([0.0, 1.0, 2.0], [0.6, 0.3, 0.1], 80),   # head and tail
                              ([0.0, 1.0, 2.0], [0.6, 0.3, 0.1], 3)):   # all tail
         expected = sample_means(np.array(values), np.array(probs), m, 2000, seed=4, stream=9)
         padded = sample_means(np.array(values + [-3.0, 0.5, 9.0]),
@@ -325,17 +344,22 @@ def test_sample_means_zero_probability_outcomes_change_nothing():
         assert np.array_equal(padded, expected)
 
 
-def test_sample_means_exact_law():
-    # 4 outcomes on an integer lattice, two counted (m p >= 8) and two drawn:
-    # the sum of m draws has the m-fold convolution of the outcome law as its
-    # exact distribution, and a chi-square test over 200k trials must not
-    # reject it at alpha = 1e-6, a level fixed before any seed was run
+def assert_exact_law(weights, m, counted, stepped):
+    """Outcomes 0, 1, 2, ... with the given weights, ``counted`` of them
+    counted and ``stepped`` guide buckets holding a tail CDF step: the sum
+    of m draws has the m-fold convolution of the outcome law as its exact
+    distribution, and a chi-square test over 200k trials must not reject
+    it at alpha = 1e-6, a level fixed before any seed was run."""
     from scipy.stats import chi2
 
-    values = np.array([0.0, 1.0, 2.0, 3.0])
-    probs = np.array([0.5, 0.3, 0.15, 0.05])
-    m, trials, alpha = 40, 200_000, 1e-6
-    assert 0 < np.count_nonzero(m * probs >= HEAD_DRAWS) < len(values)
+    values = np.arange(len(weights), dtype=float)
+    probs = weights / weights.sum()
+    trials, alpha = 200_000, 1e-6
+    head = m * probs >= HEAD_DRAWS
+    cdf = np.cumsum(probs[~head])
+    cdf /= cdf[-1]
+    assert np.count_nonzero(head) == counted
+    assert np.count_nonzero(np.isnan(_guide_table(values[~head], cdf))) == stepped
     law = np.array([1.0])
     for _ in range(m):
         law = np.convolve(law, probs)
@@ -344,9 +368,10 @@ def test_sample_means_exact_law():
     np.testing.assert_allclose(sums, k, rtol=0, atol=1e-9)
     observed = np.bincount(k, minlength=len(law)).astype(float)
     expected = trials * law
-    # pool each sparse tail into one cell that expects at least 5 trials
-    lo = int(np.searchsorted(np.cumsum(expected), 5.0)) + 1
-    hi = len(law) - 1 - int(np.searchsorted(np.cumsum(expected[::-1]), 5.0))
+    # pool each sparse tail into the outermost cell that expects at least 5
+    # trials, so that every cell of the unimodal law does
+    big = np.flatnonzero(expected >= 5.0)
+    lo, hi = big[0] + 1, big[-1]
 
     def pooled(a):
         return np.concatenate(([a[:lo].sum()], a[lo:hi], [a[hi:].sum()]))
@@ -357,13 +382,25 @@ def test_sample_means_exact_law():
     assert chi2.sf(stat, len(exp) - 1) > alpha
 
 
+def test_sample_means_exact_law():
+    # 4 outcomes, two counted (m p >= HEAD_DRAWS) and two drawn; the one
+    # tail CDF step, 0.15 / 0.2, rounds to one ulp below the bucket edge 3/4
+    assert_exact_law(np.array([0.5, 0.3, 0.15, 0.05]), m=120, counted=2, stepped=1)
+
+
+def test_sample_means_exact_law_with_steps_inside_buckets():
+    # 4000 drawn outcomes whose every tail CDF step falls strictly inside a
+    # guide bucket, so about a quarter of the draws take a fresh word
+    assert_exact_law(50.0 + (37 * np.arange(4000)) % 101, m=1, counted=0, stepped=3999)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(dist=outcome_distributions(), m=st.sampled_from([1, 7, 40, 300]),
+@given(dist=outcome_distributions(), m=st.sampled_from([1, 7, 120, 300]),
        size=st.floats(0.0, 1.0), split=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 40), stream=st.integers(0, 4001))
 def test_sample_means_matches_binary_search_oracle(dist, m, size, split, seed, stream):
     values, probs = dist
-    # up to two chunk boundaries; m = 40 and 300 count their likely outcomes
+    # up to two chunk boundaries; m = 120 and 300 count their likely outcomes
     trials = 1 + int(size * (2 * SAMPLE_CHUNK + 50))
     expected = searchsorted_sample_means(values, probs, m, trials, seed, stream)
     assert np.array_equal(sample_means(values, probs, m, trials, seed, stream), expected)
@@ -381,27 +418,37 @@ def test_guide_table_sized_to_the_outcomes():
         assert len(_guide_table(np.arange(n, dtype=float), cdf)) == size
 
 
-def test_sample_means_many_outcomes_match_binary_search_oracle():
-    # 5000 outcomes take a 2^15-bucket guide table
+def assert_many_outcomes_match_oracle(n, size):
     rng = np.random.default_rng(3)
-    values = rng.normal(size=5000)
-    probs = rng.random(5000)
+    values = rng.normal(size=n)
+    probs = rng.random(n)
+    assert len(_guide_table(values, np.arange(1, n + 1) / n)) == size
     expected = searchsorted_sample_means(values, probs, 7, 5000, 8, 1)
     assert np.array_equal(sample_means(values, probs, 7, 5000, seed=8, stream=1), expected)
+
+
+def test_sample_means_many_outcomes_match_binary_search_oracle():
+    # 5000 outcomes take a 2^15-bucket guide table, read from 16-bit lanes
+    assert_many_outcomes_match_oracle(5000, 1 << 15)
+
+
+def test_sample_means_32_bit_lanes_match_binary_search_oracle():
+    # 20000 outcomes take a 2^17-bucket guide table, read from 32-bit lanes
+    assert_many_outcomes_match_oracle(20000, 1 << 17)
 
 
 def test_sample_means_ignores_outcome_order():
     # outcome distributions list their outcomes in block order, an
     # implementation detail: for distinct values any joint permutation of
     # (values, probabilities) draws the same means, bit for bit, with or
-    # without counted outcomes (m = 300 counts the 12 heavy ones)
+    # without counted outcomes (m = 1500 counts 10 of the 15 heavy ones)
     rng = np.random.default_rng(5)
     values = rng.normal(size=3000)
     probs = rng.random(3000)
     probs[:12] *= 300
     probs[12:15] = probs[0]           # equal head masses, ranked by value
     assert len(np.unique(values)) == len(values)
-    for m in (7, 300):
+    for m in (7, 1500):
         expected = sample_means(values, probs, m, 3000, seed=6, stream=3)
         for perm in (np.argsort(values), np.argsort(values)[::-1], rng.permutation(3000)):
             assert np.array_equal(sample_means(values[perm], probs[perm], m, 3000, seed=6,
@@ -423,14 +470,14 @@ def test_sample_means_statistics():
     assert out.var() == pytest.approx(1.0, rel=0.02)
 
 
-def test_run_protocol_deterministic(coherent_setup):
+def test_simulate_deterministic(coherent_setup):
     cfg, dists = coherent_setup
     a = simulate(cfg, dists)[0]
     b = simulate(cfg, dists)[0]
     assert a == b
 
 
-def test_run_protocol_report_contents(coherent_setup):
+def test_simulate_report_contents(coherent_setup):
     cfg, dists = coherent_setup
     rep = simulate(cfg, dists)[0]
     assert 0.0 <= rep.p_type1 <= 1.0
@@ -444,7 +491,7 @@ def test_run_protocol_report_contents(coherent_setup):
     assert rep.p_type2 == pytest.approx(rep.p_type2_classical, abs=0.01)
 
 
-def test_run_protocol_adaptive_extension():
+def test_simulate_adaptive_extension():
     # M large enough that errors are rare at the starting trial count
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3,
                          xi=0.5, trials=400, seed=2, m=2000,
@@ -515,7 +562,7 @@ def test_xi_sweep_doublings_match_redrawn_trials(doubling_setup):
     assert [(r.trials, r.errors_type1, r.errors_type2) for r in reports] == expected
 
 
-def test_xi_sweep_equals_run_protocol_per_xi(doubling_setup):
+def test_xi_sweep_equals_simulate_per_xi(doubling_setup):
     cfg, xis, dists = doubling_setup
     reports = simulate(replace(cfg, xi=xis), dists)
     assert len({r.trials for r in reports}) > 1
