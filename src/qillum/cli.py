@@ -9,7 +9,8 @@ Subcommands
 Outputs are data only (CSV or JSON, never images).  Every command is
 deterministic given its flags and seed; CSV files start with a schema
 comment line.  Exit codes: 0 ok, 1 a failed ``validate`` check, 2 usage
-or invalid parameters, 3 non-convergence, 4 unresolved statistics.
+or invalid parameters, 3 non-convergence, 4 unresolved statistics.  An
+unwritable ``--out`` or ``--json-out`` exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import sys
 import numpy as np
 
 from . import qfi, sim
-from .fock import DimensionError, TruncationError
+from .fock import TruncationError
 from .qfi import ConvergenceError, QfiReport, default_cutoff, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions)
-from .states import parse_family, state_from_family
+from .states import SchmidtState, parse_family, state_from_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,7 +61,8 @@ def _parse_grid(spec: str):
 
 
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
-                rel_tol: float | None = None) -> QfiReport:
+                rel_tol: float | None = None) -> tuple[SchmidtState, QfiReport]:
+    """The transmitter at its final cutoff and its Fisher-information report."""
     if not all(map(math.isfinite, (n_signal, n_bath))):
         raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
     if cutoff is not None and cutoff < 1:
@@ -70,13 +72,14 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
 
     @functools.cache   # the converged cutoff is evaluated once, by converge_cutoff
     def report(d_signal):
-        return qfi_schmidt(state_from_family(family, n_signal, d_signal), n_bath)
+        state = state_from_family(family, n_signal, d_signal)
+        return state, qfi_schmidt(state, n_bath)
 
     if cutoff is None:
         cutoff = default_cutoff(family, n_signal)
         if rel_tol is not None:
             # grow the cutoff from the family's rule until H stabilizes
-            _, cutoff = qfi.converge_cutoff(lambda d: report(d).h, start=cutoff,
+            _, cutoff = qfi.converge_cutoff(lambda d: report(d)[1].h, start=cutoff,
                                             rel_tol=rel_tol)
     return report(cutoff)
 
@@ -104,7 +107,7 @@ def _check_writable(path: str | None) -> None:
 
 
 def cmd_qfi(args) -> int:
-    report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
+    _, report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
     if args.format == "csv":
         text = "# schema: qi.qfi.v1\n" + QfiReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
     else:
@@ -123,10 +126,10 @@ def cmd_curves(args) -> int:
     rows = []
     for fam in families:
         for ns in grid:
-            rep = _qfi_report(fam, ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
-            gain = rep.gain
-            rows.append((fam, ns, args.nb, rep.h, rep.h_c, gain, rep.gain_db,
-                         rep.cutoff))
+            state, rep = _qfi_report(fam, ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
+            # maxfock:<d> fixes its own N_S, whatever the grid asks for
+            rows.append((fam, state.meta["n_signal"], args.nb, rep.h, rep.h_c, rep.gain,
+                         rep.gain_db, rep.cutoff))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["# schema: qi.curves.v1",
              "family,N_S,N_B,H,H_C,gain,gain_db,cutoff"]
@@ -151,9 +154,6 @@ def cmd_simulate(args) -> int:
     overrides = {"eta": args.eta, "m": args.m, "xi": args.xi, "trials": args.trials,
                  "seed": args.seed}
     cfg = ProtocolConfig(**{**payload, **{k: v for k, v in overrides.items() if v is not None}})
-    # a bad output path fails before the run, and leaves neither file written
-    for path in (args.out, args.json_out):
-        _check_writable(path)
     # the spectral work runs once, sequentially; only the sampling is fanned out
     dists = prepare_distributions(cfg)
     if dists.state.levels is None and cfg.n_bath > 3:
@@ -172,8 +172,8 @@ def cmd_simulate(args) -> int:
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, sort_keys=True, indent=2)
+        _emit(json.dumps([dataclasses.asdict(r) for r in reports], sort_keys=True, indent=2),
+              args.json_out)
     if any(r.errors_type1 == 0 or r.errors_type2 == 0 for r in reports):
         sys.stderr.write("error: zero error events at the trial cap; "
                          "exponent unresolved\n")
@@ -194,11 +194,10 @@ def cmd_validate(args) -> int:
         "suite": args.suite,
         "total": len(results),
         "failed": failed,
-        "checks": [res.to_dict() for res in results],
+        "checks": [dataclasses.asdict(res) for res in results],
     }
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
+        _emit(json.dumps(summary, sort_keys=True, indent=2), args.json_out)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else 1
 
@@ -258,6 +257,9 @@ def main(argv=None) -> int:
     handlers = {"qfi": cmd_qfi, "curves": cmd_curves,
                 "simulate": cmd_simulate, "validate": cmd_validate}
     try:
+        # a bad output path fails before any work, and leaves no file written
+        for flag in ("out", "json_out"):
+            _check_writable(getattr(args, flag, None))
         return handlers[args.command](args)
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -266,7 +268,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNRESOLVED
     # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
-    except (ValueError, DimensionError, TruncationError, OSError) as exc:
+    except (ValueError, TruncationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -35,7 +35,6 @@ global order (sampling sorts the values itself).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,9 @@ from .fock import (DensityOperator, TruncationError, beamsplitter_unitary,
                    eig_hermitian, group_indices, thermal_weights)
 from .qfi import qfi_schmidt, signal_lowering_matrix
 from .states import SchmidtState
+
+# reflectivities of the quadratic fit in unbiasedness_check, ascending
+UNBIASED_ETAS = (0.0, 1e-3, 5e-3, 1e-2)
 
 
 @dataclass
@@ -209,16 +211,16 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     return DensityOperator(blocks, deficit)
 
 
-def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int,
-                       eta_grid=(0.0, 1e-3, 5e-3, 1e-2)) -> dict:
-    """Quadratic fit of eta -> Tr(rho_eta O) for the optimal observable.
+def unbiasedness_check(state: SchmidtState, n_bath: float, dim_bath: int) -> dict:
+    """Quadratic fit of eta -> Tr(rho_eta O) over ``UNBIASED_ETAS`` for the
+    optimal observable.
 
     Returns the fitted intercept, slope, and curvature.  An unbiased
     estimator has intercept 0 and slope 1; the curvature quantifies the
     quadratic response error away from zero reflectivity.
     """
     obs = sld_observable(state, n_bath, dim_bath)
-    etas = np.asarray(sorted(eta_grid), dtype=float)
+    etas = np.asarray(UNBIASED_ETAS)
     means = [trace_moments(received_state(state, n_bath, eta, dim_bath).blocks, obs, 1)[0]
              for eta in etas]
     design = np.vander(etas, 3, increasing=True)  # columns 1, eta, eta^2
@@ -298,15 +300,12 @@ def mgf_radius(h: float, n_bath: float, c: float) -> float:
     return math.sqrt(h * h * n_bath / c)
 
 
-def mgf_empirical(dist: OutcomeDistribution, t_grid, t_max: float | None = None) -> np.ndarray:
+def mgf_empirical(dist: OutcomeDistribution, t_grid) -> np.ndarray:
     """Centered moment generating function sum_i p_i e^{t (o_i - mean)}.
 
-    Finite spectra make this computable for any t; values beyond the
-    guaranteed interval (pass ``t_max``) only trigger a warning.
+    Finite spectra make this computable for any t; :func:`mgf_radius`
+    gives the interval where the untruncated MGF is guaranteed finite.
     """
     ts = np.asarray(t_grid, dtype=float)
-    if t_max is not None and np.any(ts >= t_max):
-        warnings.warn("MGF evaluated outside the guaranteed-finite interval",
-                      RuntimeWarning, stacklevel=2)
     centered = dist.values - dist.mean()
     return np.exp(np.outer(ts, centered)) @ dist.probabilities

@@ -3,13 +3,14 @@
 Each trial draws M single-copy outcomes of the optimal observable, takes
 their mean as the reflectivity estimate, and declares the object present
 when the estimate exceeds xi * eta.  Type I and II error probabilities
-are estimated with Wilson confidence intervals.  Exponential decay rates
-come from ``gaussian_rate_fit``, which inverts the Gaussian tail form
-before fitting, y(M) = erfcinv(2 P)^2 = rate * M.  A plain fit of -log P
-against M would be biased upward at desk-scale M by the subexponential
-prefactor of the true tail (for a Gaussian mean, P = erfc(sqrt(rate * M))
-/ 2, whose -log P carries an additive ~ 0.5 log M term); the inversion
-removes that prefactor and recovers the rate already at moderate M.
+are estimated with 95 % Wilson confidence intervals.  Exponential decay
+rates come from ``gaussian_rate_fit``, which inverts the Gaussian tail
+form before fitting, y(M) = erfcinv(2 P)^2 = rate * M.  A plain fit of
+-log P against M would be biased upward at desk-scale M by the
+subexponential prefactor of the true tail (for a Gaussian mean, P =
+erfc(sqrt(rate * M)) / 2, whose -log P carries an additive ~ 0.5 log M
+term); the inversion removes that prefactor and recovers the rate
+already at moderate M.
 These are the rates compared against the predictions xi^2 eta^2 H / 2.
 
 Sampling uses counter-based RNG streams keyed by (seed, stream, chunk),
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -53,6 +54,7 @@ BLOCK_DRAWS = 1 << 15     # draws per sampling block, small enough to stay in ca
 # 120-240 ns (M p = 10-29) grows with M p and buys no more than the draws
 HEAD_DRAWS = 30
 MIN_ERROR_EVENTS = 50
+Z_95 = 1.959963984540054  # two-sided 95 % quantile of the standard normal
 
 
 class UnresolvedStatisticsError(RuntimeError):
@@ -163,18 +165,13 @@ class ErrorReport:
         cells = [c for v in astuple(self) for c in (v if isinstance(v, tuple) else (v,))]
         return ",".join(map(str, cells))
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["p_type1_ci"] = list(self.p_type1_ci)
-        d["p_type2_ci"] = list(self.p_type2_ci)
-        return d
 
-
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval; well behaved for probabilities near 0."""
+def wilson_interval(successes: int, n: int):
+    """95 % Wilson score interval; well behaved for probabilities near 0."""
     if n <= 0:
         raise ValueError("zero trials")
     phat = successes / n
+    z = Z_95
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
@@ -430,6 +427,8 @@ def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
             break
         trials = min(cap, trials * 2)
 
+    # maxfock:<d> fixes its own N_S, whatever the config asks for
+    n_signal = dists.state.meta["n_signal"]
     reports = []
     for j, xi in enumerate(cfg.xi):
         # where a sweep of this xi alone stops: its first resolved rung, else the last
@@ -441,10 +440,10 @@ def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
         ci2 = wilson_interval(k2, trials)
         rate1, err1 = _gauss_rate_point(p1, *ci1, m)
         rate2, err2 = _gauss_rate_point(p2, *ci2, m)
-        c1, c2, c_opt = classical_error_closed(cfg.n_signal, cfg.n_bath, cfg.eta, m, xi)
+        c1, c2, c_opt = classical_error_closed(n_signal, cfg.n_bath, cfg.eta, m, xi)
         reports.append(ErrorReport(
             family=cfg.family,
-            n_signal=cfg.n_signal,
+            n_signal=n_signal,
             n_bath=cfg.n_bath,
             eta=cfg.eta,
             xi=xi,
@@ -495,7 +494,7 @@ def simulate(cfg: ProtocolConfig, dists: ProtocolDistributions | None = None,
     return [rep for reports in sweeps for rep in reports]
 
 
-def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):
+def gaussian_rate_fit(m_grid, p_estimates, p_errs):
     """Decay rate via the Gaussian tail inversion y = erfcinv(2P)^2 = rate*M.
 
     ``p_errs`` are one-sigma errors of the P estimates; they propagate
@@ -508,12 +507,9 @@ def gaussian_rate_fit(m_grid, p_estimates, p_errs=None):
             "estimates outside (0, 1/2); the tail inversion needs resolved errors")
     x = np.vectorize(_erfcinv_2p)(ps)
     y = x ** 2
-    if p_errs is None:
-        sig = np.full_like(ms, np.median(y) * 0.01 + 1e-30)
-    else:
-        # dy/dP = -2 x sqrt(pi) e^{x^2}
-        sig = np.abs(2.0 * x * math.sqrt(math.pi) * np.exp(x ** 2)
-                     * np.asarray(p_errs, dtype=float)) + 1e-30
+    # dy/dP = -2 x sqrt(pi) e^{x^2}
+    sig = np.abs(2.0 * x * math.sqrt(math.pi) * np.exp(x ** 2)
+                 * np.asarray(p_errs, dtype=float)) + 1e-30
     w = 1.0 / sig ** 2
     denom = float(np.sum(w * ms * ms))
     rate = float(np.sum(w * ms * y) / denom)

@@ -79,11 +79,11 @@ def test_criterion_05_gain_ordering_bright_bath():
 
 
 def test_criterion_06_sld_identity_suite():
-    assert _check("6", validate.check_sld_identities(dim_bath=40, families="full"))
+    assert _check("6", validate.check_sld_identities())
 
 
 def test_criterion_07_moment_mgf_machinery():
-    assert _check("7", validate.check_moment_machinery(dim_bath=40))
+    assert _check("7", validate.check_moment_machinery())
 
 
 @pytest.mark.slow

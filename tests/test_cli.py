@@ -1,8 +1,12 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,34 @@ def test_curves_output(tmp_path):
     assert gains[("tmsv", 0.0001)] == pytest.approx(101.0 / 51.0, abs=1e-3)
     for ns in (0.1, 0.5, 1.0):
         assert gains[("cat:2", ns)] < gains[("tmsv", ns)]
+
+
+def test_curves_maxfock_rows_report_the_state_photon_number(capsys):
+    # maxfock:5 has N_S = 2 whatever the grid asks for; tmsv keeps the grid's
+    import qillum.cli as cli
+
+    assert cli.main(["curves", "--nb", "1", "--ns", "0.1,0.5,1",
+                     "--families", "maxfock:5,tmsv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header = lines[1].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
+    assert [r["N_S"] for r in rows if r["family"] == "maxfock:5"] == ["2.0"] * 3
+    assert [r["N_S"] for r in rows if r["family"] == "tmsv"] == ["0.1", "0.5", "1.0"]
+
+
+def test_readme_command_lines_parse():
+    # every qillum line of the README's command-line block is a valid
+    # invocation; the parser only reads it, nothing runs
+    import qillum.cli as cli
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, flags=re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "qillum"]
+    assert {argv[1] for argv in commands} == {"qfi", "curves", "simulate", "validate"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_curves_grid_spec():
@@ -369,6 +401,25 @@ def test_simulate_bad_json_out_exits_2_before_any_work(tmp_path, capsys, monkeyp
     assert_bad_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, "--json-out")
 
 
+def test_validate_and_curves_bad_output_exit_2_before_any_work(tmp_path, capsys,
+                                                              monkeypatch):
+    import qillum.cli as cli
+    import qillum.validate as validate
+
+    def boom(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(validate, "run_suite", boom)
+    monkeypatch.setattr(cli, "_qfi_report", boom)
+    missing = str(tmp_path / "no_such_dir" / "x")
+    for argv in (["validate", "--suite", "full", "--json-out", missing],
+                 ["curves", "--nb", "1", "--ns", "0.1", "--out", missing],
+                 ["qfi", "--family", "tmsv", "--ns", "1", "--nb", "1", "--out", missing]):
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_csv_rows_are_the_library_reports(tmp_path):
     import qillum.cli as cli
     from qillum.sim import ProtocolConfig, simulate
@@ -385,7 +436,8 @@ def test_simulate_csv_rows_are_the_library_reports(tmp_path):
     assert lines[2:2 + len(reports)] == [rep.to_csv_row() for rep in reports]
     assert [(r.m_copies, r.xi) for r in reports] == \
         [(m, xi) for m in payload["m"] for xi in payload["xi"]]
-    assert json.loads(json_out.read_text()) == [rep.to_json_dict() for rep in reports]
+    assert json_out.read_text() == json.dumps([asdict(rep) for rep in reports],
+                                              sort_keys=True, indent=2)
 
 
 def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
@@ -579,7 +631,7 @@ def test_qfi_and_simulate_share_one_cutoff_rule():
     from qillum.sim import ProtocolConfig, prepare_distributions
 
     for family in ("tmsv", "coherent", "cat:2", "cat:3", "cat:inf", "maxfock:4"):
-        report = cli._qfi_report(family, 0.5, 0.1, None)
+        _, report = cli._qfi_report(family, 0.5, 0.1, None)
         cfg = ProtocolConfig(family=family, n_signal=0.5, n_bath=0.1)
         assert prepare_distributions(cfg).state.d_signal == report.cutoff, family
         assert report.family == family

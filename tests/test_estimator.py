@@ -260,13 +260,6 @@ def test_mgf_point_mass_and_origin(tmsv_setup):
     assert np.allclose(vals, 1.0, atol=1e-9)
 
 
-def test_mgf_warns_outside_interval(tmsv_setup):
-    _, rep, obs, rho0 = tmsv_setup
-    dist = outcome_distribution(rho0, obs)
-    with pytest.warns(RuntimeWarning):
-        mgf_empirical(dist, [10.0], t_max=1.0)
-
-
 def test_spectral_preparation_allocates_no_dense_matrix():
     """The received state, the SLD spectrum and the outcome distribution
     at N_B = 3, on 23 x 67 = 1541 joint dimensions, peak below one dense

@@ -223,6 +223,18 @@ def test_wilson_interval_basics():
         wilson_interval(1, 0)
 
 
+def test_maxfock_reports_carry_the_state_photon_number():
+    # maxfock:4 has N_S = 1.5 whatever the config asks for (0.5 by default);
+    # it equals the classical case, so its classical column is at N_S = 1.5
+    cfg = ProtocolConfig(family="maxfock:4", n_bath=1.0, m=500, xi=0.5, trials=2000,
+                         trials_cap_factor=1, seed=7)
+    rep, = simulate(cfg)
+    assert rep.n_signal == 1.5
+    assert rep.p_type1_classical == classical_error_closed(1.5, 1.0, 0.1, 500, 0.5)[0]
+    assert rep.p_type1_classical == pytest.approx(0.0569, abs=1e-4)
+    assert rep.to_csv_row().split(",")[1] == "1.5"
+
+
 def test_classical_error_zero_reflectivity():
     p1, p2, _ = classical_error_closed(0.5, 1.0, 0.0, 100, 0.5)
     assert p1 == pytest.approx(0.5)
@@ -273,13 +285,13 @@ def test_gaussian_rate_fit_recovers_erfc_form():
     ms = np.array([200, 500, 1000, 2000])
     rate = 8.333e-4
     ps = 0.5 * erfc(np.sqrt(rate * ms))
-    fit, _ = gaussian_rate_fit(ms, ps)
+    fit, _ = gaussian_rate_fit(ms, ps, 0.01 * ps)
     assert fit == pytest.approx(rate, rel=1e-10)
 
 
 def test_gaussian_rate_fit_guards():
     with pytest.raises(UnresolvedStatisticsError):
-        gaussian_rate_fit([100, 200], [0.6, 0.1])
+        gaussian_rate_fit([100, 200], [0.6, 0.1], [0.01, 0.01])
 
 
 def test_sample_means_deterministic():
@@ -597,7 +609,7 @@ def test_error_report_csv_row(coherent_setup):
     rep = simulate(cfg, dists)[0]
     row = rep.to_csv_row()
     assert len(row.split(",")) == len(ErrorReport.CSV_HEADER.split(","))
-    payload = rep.to_json_dict()
+    payload = asdict(rep)
     assert payload["p_type1"] == rep.p_type1
 
 
