@@ -62,7 +62,10 @@ def _parse_grid(spec: str):
 
 def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
                 rel_tol: float | None = None) -> tuple[SchmidtState, QfiReport]:
-    """The transmitter at its final cutoff and its Fisher-information report."""
+    """The transmitter at its final cutoff and its Fisher-information report.
+
+    A cutoff that leaves H = 0 while the transmitter loses photons to it
+    is a ValueError: the zero comes from the cut, not from the state."""
     if not all(map(math.isfinite, (n_signal, n_bath))):
         raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
     if cutoff is not None and cutoff < 1:
@@ -81,7 +84,11 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
             # grow the cutoff from the family's rule until H stabilizes
             _, cutoff = qfi.converge_cutoff(lambda d: report(d)[1].h, start=cutoff,
                                             rel_tol=rel_tol)
-    return report(cutoff)
+    state, rep = report(cutoff)
+    if rep.h == 0 and state.deficit > 0:
+        raise ValueError(f"cutoff {cutoff} leaves H = 0 and loses {state.deficit:.3g} "
+                         f"of the transmitter's probability; raise the cutoff")
+    return state, rep
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,14 +127,13 @@ def cmd_curves(args) -> int:
     families = [tok for tok in args.families.split(",") if tok]
     if not families:
         raise ValueError(f"family list {args.families!r} has no families")
-    for fam in families:
-        parse_family(fam)
+    names = [parse_family(fam)[0] for fam in families]
     grid = _parse_grid(args.ns)
     rows = []
-    for fam in families:
-        for ns in grid:
+    for fam, name in zip(families, names):
+        # maxfock:<d> fixes its own N_S, whatever the grid asks for: one row
+        for ns in grid[:1] if name == "maxfock" else grid:
             state, rep = _qfi_report(fam, ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
-            # maxfock:<d> fixes its own N_S, whatever the grid asks for
             rows.append((fam, state.meta["n_signal"], args.nb, rep.h, rep.h_c, rep.gain,
                          rep.gain_db, rep.cutoff))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -156,9 +162,6 @@ def cmd_simulate(args) -> int:
     cfg = ProtocolConfig(**{**payload, **{k: v for k, v in overrides.items() if v is not None}})
     # the spectral work runs once, sequentially; only the sampling is fanned out
     dists = prepare_distributions(cfg)
-    if dists.state.levels is None and cfg.n_bath > 3:
-        sys.stderr.write("warning: general signal vectors gather a dense (signal x bath) "
-                         "factor, slow above N_B = 3\n")
     reports = sim.simulate(cfg, dists, args.threads)
     lines = ["# schema: qi.sim.v1", ErrorReport.CSV_HEADER]
     best = None

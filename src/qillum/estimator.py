@@ -7,10 +7,11 @@ the idler dimension equals the Schmidt rank.  The normalization is fixed
 so that the expectation of the observable grows with unit slope in the
 reflectivity, which makes the detection threshold scale well defined.
 
-Received states are gathered block by block without any joint buffer:
-U conserves the excitation number, so each entry of the factor z with
-rho = z z' is one element of the beamsplitter array u[N, j - lo, i - lo]
-times one transmitter amplitude.
+Received states pass the transmitter's signal through the thermal-loss
+channel of the returned mode, a pure loss followed by a quantum-limited
+amplifier, whose Kraus operators are real and closed form: no
+(signal x bath) space is built, and the only truncation is the
+amplifier's tail at the returned-mode cutoff.
 
 The observable and the received states are block lists (see
 :mod:`qillum.fock`) over sectors fixed by conserved quantities, read from
@@ -22,6 +23,9 @@ cat:inf, maxfock), whose vector a is the Fock level L_a, has g = 0 and
 one sector per q = L_a - n_b; cat:<d> has g = d and d sectors; coherent
 has g = 1 and is one sector.  A received state comes wrapped in a
 :class:`~qillum.fock.DensityOperator` that carries its trace deficit.
+Every block is real when the transmitter's amplitudes are (every built-in
+family, coherent at phase 0), and complex otherwise, and the SLD spectrum
+and the outcome diagonal keep that dtype.
 The SLD is the only observable built here: the quadrature and ab + a'b'
 forms it reduces to for coherent and tmsv transmitters are test oracles.
 The reflectivity derivative of the received state is a block list on the
@@ -39,10 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (DensityOperator, TruncationError, beamsplitter_unitary,
-                   eig_hermitian, group_indices, thermal_weights)
+from .fock import (DensityOperator, TruncationError, eig_hermitian, group_indices,
+                   thermal_weights)
+# unused here: the benchmark's span recorder (perfbench/spans.py) wraps this
+# name, and tests/test_perfbench_spans.py requires it; both go together
+from .fock import beamsplitter_unitary  # noqa: F401
 from .qfi import qfi_schmidt, signal_lowering_matrix
-from .states import SchmidtState
+from .states import SchmidtState, _log_factorial
 
 # reflectivities of the quadratic fit in unbiasedness_check, ascending
 UNBIASED_ETAS = (0.0, 1e-3, 5e-3, 1e-2)
@@ -129,17 +136,17 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
 
 
 def _sectors(state: SchmidtState, dim_bath: int) -> list:
-    """(rows, cols) of each sector q, read from where the Schmidt vectors
-    are nonzero.  With r_a the lowest level of vector a and g the gcd of
-    the level gaps inside the vectors, every level of w_a is r_a (mod g).
-    Rows a * dim_bath + n of the (rank x returned mode) space have q =
-    r_a - n and columns j * dim_bath + k of the (signal x bath) space have
-    q = j - k, both mod g, and g = 0 means no modulus: a level state
-    (vector a is the Fock level L_a) has one sector per q = L_a - n, in
-    ascending q, coherent (g = 1) one sector and cat:<d> (g = d) d sectors.
+    """Rows of each sector q, read from where the Schmidt vectors are
+    nonzero.  With r_a the lowest level of vector a and g the gcd of the
+    level gaps inside the vectors, every level of w_a is r_a (mod g).  Row
+    a * dim_bath + n of the (rank x returned mode) space has q = r_a - n
+    (mod g), and g = 0 means no modulus: a level state (vector a is the
+    Fock level L_a) has one sector per q = L_a - n, in ascending q,
+    coherent (g = 1) one sector and cat:<d> (g = d) d sectors.
 
-    U conserves n_s + n_b, so z[(a, n), (j, k)] needs i = j + n - k in the
-    support of w_a, which makes j - k = r_a - n (mod g); the SLD couples
+    The channel moves both Fock indices of an entry alike, so rho couples
+    (a, n) to (a', n') only where n - n' = i - i' for levels i of w_a and
+    i' of w_a', which makes r_a - n = r_a' - n' (mod g); the SLD couples
     (a, n) to (a', n + 1) only where <w_a|s|w_a'> is nonzero, which makes
     r_a' = r_a + 1 (mod g).  Entries that are exactly zero stay out of
     every sector, so the blocks are exact for the stored vectors.
@@ -150,9 +157,7 @@ def _sectors(state: SchmidtState, dim_bath: int) -> list:
     # without a modulus the shift by dim_bath - 1 keeps every key in [0, period)
     period = int(np.gcd.reduce(levels - low[terms])) or state.d_signal + dim_bath
     n = np.arange(dim_bath) - dim_bath + 1
-    rows = group_indices(np.subtract.outer(low, n) % period)
-    cols = group_indices(np.subtract.outer(np.arange(state.d_signal), n) % period)
-    return [(rows[q], cols[q]) for q in rows]
+    return list(group_indices(np.subtract.outer(low, n) % period).values())
 
 
 def _ladder_blocks(state: SchmidtState, dim_bath: int, pair: np.ndarray,
@@ -162,7 +167,7 @@ def _ladder_blocks(state: SchmidtState, dim_bath: int, pair: np.ndarray,
     the one place <n|b|n'> is built.  x and x' have disjoint supports, so
     the sum rounds nothing."""
     blocks = []
-    for rows, _ in _sectors(state, dim_bath):
+    for rows in _sectors(state, dim_bath):
         a, n = np.divmod(rows, dim_bath)
         ladder = np.where(n[None, :] == n[:, None] + 1,
                           (weight[n] * np.sqrt(n + 1))[:, None], 0.0)
@@ -171,40 +176,130 @@ def _ladder_blocks(state: SchmidtState, dim_bath: int, pair: np.ndarray,
     return blocks
 
 
+def _xlog(x, y: float):
+    """x log(y) for x >= 0, with 0 log 0 = 0."""
+    return x * math.log(y) if y > 0 else np.where(x > 0, -np.inf, 0.0)
+
+
+def _channel_kernel(n_bath: float, eta: float, d_s: int, dim_bath: int) -> np.ndarray:
+    """T[delta, n', i'] with rho[n' + delta, n'] = sum_i' T[delta, n', i']
+    X[i' + delta, i'] for the channel of :func:`received_state`, on
+    delta < min(d_s, dim_bath), n' + delta < dim_bath and i' + delta < d_s,
+    and zero elsewhere.
+
+    T = M K, the amplifier after the loss, and both keep delta.  The loss
+    takes (i' + delta, i') to (m' + delta, m'), losing k = i' - m' photons,
+    with K[m', i'] = A_k[m' + delta, i' + delta] A_k[m', i'], and the
+    amplifier takes (m' + delta, m') to (n' + delta, n'), adding j = n' - m',
+    with M[n', m'] = B_j[n' + delta, m' + delta] B_j[n', m'].  Every entry
+    of K has the sign s^delta, so T sums terms of one sign.
+    """
+    gain = 1.0 + (1.0 - eta * eta) * n_bath
+    keep, added = eta * eta / gain, (1.0 - eta * eta) * n_bath / gain   # tau', 1 - 1/g
+    width = min(d_s, dim_bath)
+    log_fact = _log_factorial(np.arange(d_s + dim_bath))
+    delta, m = np.arange(width)[:, None], np.arange(width)
+
+    def half(x):   # [delta, x]: log sqrt(x! (x + delta)!)
+        return 0.5 * (log_fact[x] + log_fact[x + delta])
+
+    def shifts(top, rate, log_weight):
+        """[delta, x, m']: sqrt(x! (x + delta)! / (m'! (m' + delta)!)) rate^s / s!
+        e^log_weight[delta, m'] at s = x - m' >= 0 and x + delta < top, else 0."""
+        x = np.arange(top)
+        s = x[:, None] - m
+        step = np.maximum(s, 0)
+        log = (np.where(x + delta < top, half(x), -np.inf)[:, :, None]
+               + (log_weight - half(m))[:, None, :]
+               + np.where(s >= 0, _xlog(step, rate) - log_fact[step], -np.inf))
+        return np.exp(log)
+
+    loss = shifts(d_s, 1.0 - keep, _xlog(m + 0.5 * delta, keep))       # K^T: [delta, i', m']
+    loss *= (-1.0 if eta >= 0 else 1.0) ** delta[:, :, None]
+    amplifier = shifts(dim_bath, added, -(m + 1.0 + 0.5 * delta) * math.log(gain))
+    return amplifier @ loss.transpose(0, 2, 1)
+
+
+def _hermitian_blocks(sectors: list, x: np.ndarray, y: np.ndarray,
+                      values: np.ndarray) -> list:
+    """Block list on ``sectors`` with ``values`` at the joint entries (x, y)
+    and their conjugates at (y, x), zero elsewhere; each (x, y) lies in one
+    sector.  The blocks are views of one flat buffer, in which entry (x, y)
+    sits at rowbase[x] + local[y]."""
+    size = np.array([len(rows) for rows in sectors])
+    start = np.cumsum(size ** 2) - size ** 2
+    joint = np.concatenate(sectors)
+    local, rowbase = np.empty_like(joint), np.empty_like(joint)
+    local[joint] = np.arange(len(joint)) - np.repeat(np.cumsum(size) - size, size)
+    rowbase[joint] = np.repeat(start, size) + local[joint] * np.repeat(size, size)
+    buf = np.zeros(int(np.sum(size ** 2)), dtype=values.dtype)
+    buf[rowbase[x] + local[y]] = values
+    buf[rowbase[y] + local[x]] = values.conj()
+    return [(rows, buf[s:s + w * w].reshape(w, w)) for rows, s, w in zip(sectors, start, size)]
+
+
 def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int,
                    deficit_tol: float | None = None) -> DensityOperator:
     """Received (idler x returned mode) state after reflection ``eta``.
 
-    The state is z z', with z the (rank x returned mode) x (signal x bath)
-    factor of the bath-level components pushed through the beamsplitter U.
-    U conserves n_s + n_b, so z[(a, n), (j, k)] = sqrt(p_a) w_a[i]
-    sqrt(rho_k) <j, n|U|i, k> with i = j + n - k (zero outside the signal
-    cutoff).  Each sector q (see :func:`_sectors`) gathers its z_q from
-    U's array u[j + n, j - lo, i - lo], where lo = max(0, j + n - dim_bath
-    + 1) makes j - lo = min(j, dim_bath - 1 - n) and i - lo = min(i,
-    dim_bath - 1 - k).  The total trace deficit combines the
-    transmitter's truncation with the thermal tail.
+    The returned mode sees the thermal-loss channel of transmissivity
+    eta^2 and bath N_B: a pure loss tau' followed by a quantum-limited
+    amplifier of gain g = 1 + (1 - eta^2) N_B, with tau' = eta^2 / g
+    (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)).  Both have real,
+    closed-form Kraus operators (Ivan, Sabapathy & Simon, PRA 84, 042311
+    (2011)),
+
+        A_k|i> = s^(i-k) sqrt(C(i, k) tau'^(i-k) (1 - tau')^k) |i - k>,
+        B_j|m> = sqrt(C(m + j, j) g^-(m+1) (1 - 1/g)^j) |m + j>,
+
+    with s = -sign(eta), the sign of the beamsplitter exp[asin(eta) (s'b
+    - sb')] that the channel dilates.  Idler pair (a, a') carries X =
+    u_a u_a'^+, u_a = sqrt(p_a) w_a, and both steps shift both Fock
+    indices alike, so rho_aa' keeps only the band offsets delta = n - n'
+    that are offsets i - i' of levels in the support of w_a and w_a' (a
+    level state has one per pair).  Each offset is one product of the
+    kernel of :func:`_channel_kernel` with the columns X[i' + delta, i'] of
+    its pairs, and the entries land in the sectors of :func:`_sectors`;
+    delta < 0 is the conjugate transpose.  The loss is exact on the
+    transmitter's levels, so the only truncation is the amplifier's tail
+    at ``dim_bath``, and the trace deficit is exactly the mass lost there
+    and by the transmitter.  The blocks are real when the amplitudes are.
     """
-    d_s = state.d_signal
+    if abs(eta) > 1.0:
+        raise ValueError(f"amplitude reflectivity must satisfy |eta| <= 1, got {eta}")
+    d_s, r = state.d_signal, state.rank
     width = min(d_s, dim_bath)
-    sqrt_rho = np.sqrt(thermal_weights(n_bath, dim_bath))
-    w = state.vectors * np.sqrt(state.probs)[None, :]
-    u = beamsplitter_unitary(eta, d_s, dim_bath).ravel()
-    blocks = []
-    for rows, cols in _sectors(state, dim_bath):
-        a, n = np.divmod(rows[:, None], dim_bath)
-        j, k = np.divmod(cols[None, :], dim_bath)
-        i = j + n - k   # the input signal level, wrapped in range and zeroed out of it
-        iw = i % d_s
-        # one flat index into u[j + n, j - lo, iw - lo] reads faster than
-        # three; both offsets lie in [0, width), so a wrapped iw stays in
-        # sector j + n
-        flat = ((j + n) * width + np.minimum(j, dim_bath - 1 - n)) * width
-        zb = w[iw, a] * sqrt_rho[k] * u[flat + np.minimum(iw, dim_bath - 1 - k)]
-        zb[iw != i] = 0.0
-        block = zb @ zb.conj().T
-        blocks.append((rows, 0.5 * (block + block.conj().T)))
-    deficit = max(0.0, 1.0 - sum(float(np.real(np.trace(b))) for _, b in blocks))
+    u = state.vectors * np.sqrt(state.probs)[None, :]
+
+    # (delta, a, a') of every offset and ordered pair, delta >= 0 and a >= a'
+    # at delta = 0, in ascending delta; slot numbers the pairs of one delta
+    levels, terms = state.support()
+    delta = np.subtract.outer(levels, levels)
+    a, a2 = np.broadcast_arrays(terms[:, None], terms[None, :])
+    kept = (delta < width) & ((delta > 0) | ((delta == 0) & (a >= a2)))
+    key = np.sort((delta[kept] * r + a[kept]) * r + a2[kept])
+    # np.unique would import numpy.ma, 30 ms in a fresh process
+    delta, pair = np.divmod(key[np.append(True, np.diff(key) != 0)], r * r)
+    a, a2 = np.divmod(pair, r)
+    first = np.flatnonzero(np.append(True, np.diff(delta) != 0))
+    count = np.diff(np.append(first, len(delta)))
+    slot = np.arange(len(delta)) - np.repeat(first, count)
+
+    # cols[delta, i', slot] = X[i' + delta, i'] of that slot's pair, zero past d_s
+    shifted = np.vstack([u, np.zeros((width, r), dtype=u.dtype)])
+    cols = np.zeros((width, d_s, count.max()), dtype=u.dtype)
+    cols[delta, :, slot] = (shifted[np.arange(d_s) + delta[:, None], a[:, None]]
+                            * u[:, a2].T.conj())
+    band = (_channel_kernel(n_bath, eta, d_s, dim_bath) @ cols)[delta, :, slot]
+
+    # band[p, n'] is rho[(a, n' + delta), (a', n')] of pair p, for n' + delta < dim_bath
+    n = np.arange(dim_bath)
+    inside = n < dim_bath - delta[:, None]
+    x = ((a * dim_bath + delta)[:, None] + n)[inside]
+    y = ((a2 * dim_bath)[:, None] + n)[inside]
+    band = band[inside]
+    blocks = _hermitian_blocks(_sectors(state, dim_bath), x, y, band)
+    deficit = max(0.0, 1.0 - math.fsum(band[x == y].real.tolist()))
     if deficit_tol is not None and deficit > deficit_tol:
         raise TruncationError(
             f"received-state deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}")
@@ -263,7 +358,7 @@ def signal_antinormal_moments(state: SchmidtState, k_max: int) -> list:
     moments = []
     cur = state.vectors
     for _ in range(k_max):
-        up = np.zeros((cur.shape[0] + 1, state.rank), dtype=np.complex128)
+        up = np.zeros((cur.shape[0] + 1, state.rank), dtype=cur.dtype)
         up[1:] = np.sqrt(np.arange(1, cur.shape[0] + 1))[:, None] * cur
         cur = up
         moments.append(float(np.sum(state.probs * np.sum(np.abs(cur) ** 2, axis=0))))

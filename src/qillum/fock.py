@@ -2,14 +2,16 @@
 
 A block list is a list of ``(rows, block)`` pairs, one per sector of a
 conserved quantity (:func:`group_indices` groups joint indices by its
-value): ``block`` is the square complex128 matrix on the indices
-``rows``, and entries between sectors are zero and never stored.  The
-Hermitian operators share this one format: received states
-(:class:`DensityOperator`), the estimator observable
-(:func:`eig_hermitian`) and the reflectivity derivative of the received
-state.  The beamsplitter U is one array ``u[N, j - lo, i - lo]`` over
-its excitation sectors N, offset by each sector's lowest signal level lo
-(:func:`beamsplitter_unitary`).
+value): ``block`` is the square matrix on the indices ``rows``, float64
+for a real operator and complex128 otherwise, and entries between
+sectors are zero and never stored.  The Hermitian operators share this
+one format: received states (:class:`DensityOperator`), the estimator
+observable (:func:`eig_hermitian`) and the reflectivity derivative of the
+received state.  The beamsplitter U is one array ``u[N, j - lo, i - lo]``
+over its excitation sectors N, offset by each sector's lowest signal
+level lo (:func:`beamsplitter_unitary`); no received state uses it, as
+:mod:`qillum.estimator` applies the thermal-loss channel it dilates in
+closed form.
 No single-mode operator is built here: a ladder enters only as the
 entries of the blocks that use it (the beamsplitter chains below, the
 estimator's sector blocks in :mod:`qillum.estimator`).
@@ -45,23 +47,25 @@ class TruncationError(RuntimeError):
 
 
 def _hermitian(blocks) -> list:
-    """``blocks`` with contiguous complex128 blocks, checked to be a
-    nonempty list of nonempty square blocks with one row index per row
-    (:class:`DimensionError`), each finite and Hermitian entrywise to
-    HERMITIAN_ATOL (ValueError)."""
+    """``blocks`` with contiguous blocks, float64 for real input and
+    complex128 for complex, checked to be a nonempty list of nonempty
+    square blocks with one row index per row (:class:`DimensionError`),
+    each finite and Hermitian entrywise to HERMITIAN_ATOL (ValueError)."""
     if not blocks:
         raise DimensionError("expected at least one block")
     out = []
-    for rows, block in blocks:
-        m = np.ascontiguousarray(block, dtype=np.complex128)
-        if m.ndim != 2 or not 0 < len(rows) == m.shape[0] == m.shape[1]:
-            raise DimensionError(f"expected a square block on {len(rows)} rows, got {m.shape}")
-        # a NaN or infinite entry makes dev NaN or infinite, so it fails too
-        with np.errstate(invalid="ignore"):
+    # a NaN or infinite entry makes dev NaN or infinite, so it fails too
+    with np.errstate(invalid="ignore"):
+        for rows, block in blocks:
+            m = np.asarray(block)
+            m = np.ascontiguousarray(m, dtype=np.result_type(m, float))
+            if m.ndim != 2 or not 0 < len(rows) == m.shape[0] == m.shape[1]:
+                raise DimensionError(
+                    f"expected a square block on {len(rows)} rows, got {m.shape}")
             dev = np.abs(m - m.conj().T).max()
-        if not dev < HERMITIAN_ATOL:
-            raise ValueError(f"block is not finite or deviates from Hermitian by {dev:.3e}")
-        out.append((rows, m))
+            if not dev < HERMITIAN_ATOL:
+                raise ValueError(f"block is not finite or deviates from Hermitian by {dev:.3e}")
+            out.append((rows, m))
     return out
 
 
@@ -69,9 +73,10 @@ def _hermitian(blocks) -> list:
 class DensityOperator:
     """Hermitian positive operator with explicit truncation bookkeeping.
 
-    ``blocks`` is a block list of square complex blocks, each Hermitian to
-    1e-12, and ``trace + trace_deficit = 1`` holds to 1e-9; the deficit is
-    the probability mass lost to finite cutoffs (never renormalized away).
+    ``blocks`` is a block list of square real or complex blocks, each
+    Hermitian to 1e-12, and ``trace + trace_deficit = 1`` holds to 1e-9;
+    the deficit is the probability mass lost to finite cutoffs (never
+    renormalized away).
     """
 
     blocks: list
@@ -88,7 +93,7 @@ class DensityOperator:
             )
 
     def trace(self) -> float:
-        return float(sum(np.real(np.trace(block)) for _, block in self.blocks))
+        return float(sum(block.trace().real for _, block in self.blocks))
 
 
 def thermal_weights(n_bath: float, dim: int) -> np.ndarray:

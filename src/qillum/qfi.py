@@ -115,7 +115,7 @@ def qfi_gaussian_closed(n_signal: float, n_bath: float) -> float:
 def signal_lowering_matrix(state: SchmidtState) -> np.ndarray:
     """Dense r x r view m[i, j] = <w_i| s |w_j> of the state's lowering pairs."""
     rows, cols, values = state.lowering_pairs()
-    m = np.zeros((state.rank, state.rank), dtype=np.complex128)
+    m = np.zeros((state.rank, state.rank), dtype=np.result_type(values, float))
     m[rows, cols] = values
     return m
 

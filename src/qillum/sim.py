@@ -123,7 +123,14 @@ class ProtocolConfig:
 
 @dataclass
 class ErrorReport:
-    """Estimated error probabilities and decay rates for one (config, M)."""
+    """Estimated error probabilities and decay rates for one (config, M).
+
+    The classical fields are :func:`classical_error_closed`, the paper's
+    eta -> 0 form for a coherent transmitter: its outcomes have variance
+    1/H_C under both hypotheses there.  At finite eta a coherent
+    transmitter's H1 outcomes have variance (1/H_C)(1 + 2(1 - eta^2)
+    N_B)/(1 + 2 N_B), 1.49 against 1.5 at N_S = 0.5, N_B = 1, eta = 0.1,
+    so ``p_type2_classical`` is that limit, not the finite-eta value."""
 
     family: str
     n_signal: float
@@ -218,10 +225,12 @@ def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.ndarray,
-               cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
+               cdf: np.ndarray, guide: np.ndarray, scratch: tuple) -> np.ndarray:
     """Per trial, the sum of ``counts[t]`` inverse-CDF draws from the tail
     outcomes ``vals``, drawn in trial order in blocks of whole trials of
-    at most BLOCK_DRAWS draws (one trial at least).
+    at most BLOCK_DRAWS draws (one trial at least).  ``scratch`` is an
+    intp and a float64 buffer, each at least one block long, that hold a
+    block's buckets and outcomes.
 
     A draw u selects the outcome i with cdf[i-1] <= u < cdf[i].  A guide
     table (Chen & Asau, AIIE Trans. 6, 163, 1974) of 2^b buckets resolves
@@ -259,8 +268,11 @@ def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.nd
             words = np.concatenate((last, words))
         last = words[-1:]
         # a gather is fastest with an intp index
-        bucket = (words.view(lane)[first:first + stop - start] >> shift).astype(np.intp)
-        x = guide.take(bucket)
+        bucket = np.right_shift(words.view(lane)[first:first + stop - start], shift,
+                                out=scratch[0][:stop - start])
+        # every bucket is in range, so "clip" changes nothing; the default
+        # "raise" would buffer the output
+        x = guide.take(bucket, out=scratch[1][:stop - start], mode="clip")
         miss = np.flatnonzero(np.isnan(x))
         if len(miss):
             r = fresh.bit_generator.random_raw(len(miss))
@@ -335,6 +347,10 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
         # exactly 1 at the end, so every u in [0, 1) finds an outcome
         cdf /= cdf[-1]
         guide = _guide_table(tail_vals, cdf)
+        # one pair of block buffers for every chunk: a 256 KB temporary
+        # freed after each block would be a fresh mmap under glibc's default
+        # 128 KB threshold, and fault in each of its pages again
+        scratch = np.empty(max(BLOCK_DRAWS, m), dtype=np.intp), np.empty(max(BLOCK_DRAWS, m))
     stop = first + trials
     out = np.empty(trials)
     for chunk in range(first // SAMPLE_CHUNK, -(-stop // SAMPLE_CHUNK)):
@@ -345,7 +361,7 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
         sums = (counts[:, :len(head_vals)] * head_vals).sum(axis=1)
         if len(tail_vals):
             sums += _tail_sums(gen, _chunk_generator(seed, stream, chunk, part=1),
-                               counts[:, -1], tail_vals, cdf, guide)
+                               counts[:, -1], tail_vals, cdf, guide, scratch)
         begin = max(first, lo)
         out[begin - first:lo + n - first] = sums[begin - lo:] / m
     return out
@@ -378,11 +394,27 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
 
 
 def _erfcinv_2p(p: float) -> float:
-    """erfcinv(2 p) for p in (0, 1), as -Phi^{-1}(p) / sqrt(2)."""
-    # imported here: statistics pulls decimal and fractions into every command
-    import statistics
+    """erfcinv(2 p) for p in (0, 1), the x with erfc(x) = 2 p.
 
-    return -statistics.NormalDist().inv_cdf(p) / math.sqrt(2.0)
+    The p > 1/2 half is -erfcinv(2 (1 - p)), where 1 - p is exact.  For
+    p <= 1/2 the start is the rational approximation 26.2.23 of Abramowitz
+    and Stegun to the normal quantile (error below 4.5e-4), divided by
+    sqrt(2), and Halley steps on f = erfc(x) - 2 p, x -= u / (1 + x u)
+    with u = f / f' and f' = -2 e^(-x^2) / sqrt(pi), converge cubically
+    from there.  Above p = 1/4, f is read as (1 - 2 p) - erf(x), both
+    terms exact or relatively accurate, so that x near 0 keeps its
+    relative accuracy where erfc(x) - 2 p would cancel.
+    """
+    if p > 0.5:
+        return -_erfcinv_2p(1.0 - p)
+    t = math.sqrt(-2.0 * math.log(p))
+    x = (t - (2.515517 + t * (0.802853 + t * 0.010328))
+         / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))) / math.sqrt(2.0)
+    for _ in range(3):
+        f = (1.0 - 2.0 * p) - math.erf(x) if p > 0.25 else math.erfc(x) - 2.0 * p
+        u = f / (-2.0 / math.sqrt(math.pi) * math.exp(-x * x))
+        x -= u / (1.0 + x * u)
+    return x
 
 
 def _gauss_rate_point(p: float, p_lo: float, p_hi: float, m: int):

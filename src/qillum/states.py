@@ -42,8 +42,9 @@ class SchmidtState:
 
     probs    : (r,) term probabilities p_a (exact, not renormalized);
                a state keeps at least one term
-    columns  : (d_signal, r) complex signal vectors as columns, or None
-               for a level state; read them through ``vectors``
+    columns  : (d_signal, r) signal vectors as columns, float64 when the
+               amplitudes are real and complex128 otherwise, or None for
+               a level state; read them through ``vectors``
     deficit  : probability mass lost to truncation and pruning
     meta     : family label and construction parameters
     levels   : (r,) strictly ascending Fock level of each signal vector
@@ -77,11 +78,11 @@ class SchmidtState:
 
     @property
     def vectors(self) -> np.ndarray:
-        """Signal vectors as columns; a level state builds its unit columns
-        on every read, so keep large-cutoff work on ``levels``."""
+        """Signal vectors as columns; a level state builds its real unit
+        columns on every read, so keep large-cutoff work on ``levels``."""
         if self.levels is None:
             return self.columns
-        unit = np.zeros((self.d_signal, self.rank), dtype=np.complex128)
+        unit = np.zeros((self.d_signal, self.rank))
         unit[self.levels, np.arange(self.rank)] = 1.0
         return unit
 
@@ -129,7 +130,8 @@ def _finalize(probs: np.ndarray, vectors: np.ndarray | None, d_signal: int,
     if vectors is None:
         deficit = max(0.0, 1.0 - float(np.sum(probs)))
         return SchmidtState(probs, None, d_signal, deficit, meta, levels=np.flatnonzero(keep))
-    vectors = np.ascontiguousarray(vectors, dtype=np.complex128)[:, keep]
+    vectors = np.asarray(vectors)
+    vectors = np.ascontiguousarray(vectors, dtype=np.result_type(vectors, float))[:, keep]
     norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
     deficit = max(0.0, 1.0 - float(np.sum(probs * norms2)))
     return SchmidtState(probs, vectors, d_signal, deficit, meta)
@@ -147,8 +149,9 @@ def tmsv(n_signal: float, d_signal: int) -> SchmidtState:
 
 
 def coherent_amplitudes(alpha: complex, d_signal: int) -> np.ndarray:
-    """Truncated Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!)."""
-    factors = np.empty(d_signal, dtype=np.complex128)
+    """Truncated Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!), real for a
+    real ``alpha``."""
+    factors = np.empty(d_signal, dtype=np.result_type(alpha, float))
     factors[0] = np.exp(-0.5 * abs(alpha) ** 2)
     factors[1:] = alpha / np.sqrt(np.arange(1, d_signal))
     return np.cumprod(factors)
@@ -158,11 +161,12 @@ def coherent(n_signal: float, phase: float, d_signal: int) -> SchmidtState:
     """Coherent transmitter |alpha> with alpha = sqrt(n_signal) e^{i phase}.
 
     Single Schmidt term; the stored vector keeps the raw truncated
-    amplitudes, so its squared norm is 1 minus the Poisson tail.
+    amplitudes, so its squared norm is 1 minus the Poisson tail.  They are
+    real at phase 0 and complex otherwise.
     """
     if n_signal < 0:
         raise ValueError("mean photon number must be >= 0")
-    alpha = np.sqrt(n_signal) * np.exp(1j * phase)
+    alpha = np.sqrt(n_signal) * np.exp(1j * phase) if phase else math.sqrt(n_signal)
     vec = coherent_amplitudes(alpha, d_signal)
     return _finalize(np.array([1.0]), vec[:, None], d_signal,
                      {"family": "coherent", "n_signal": n_signal, "phase": phase})
@@ -249,9 +253,10 @@ def schmidt_decompose(amplitudes: np.ndarray, meta: dict | None = None) -> Schmi
     amplitude matrix, via singular-value decomposition.
 
     Terms are sorted by descending probability.  The matrix must have unit
-    Frobenius norm to 1e-10.
+    Frobenius norm to 1e-10.  Real amplitudes give real vectors.
     """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    amplitudes = np.asarray(amplitudes)
+    amplitudes = amplitudes.astype(np.result_type(amplitudes, float))
     norm = float(np.linalg.norm(amplitudes))
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"amplitude matrix norm {norm:.12f} differs from 1")

@@ -2,9 +2,10 @@
 
 The fast suite covers the closed-form identities, bound saturation, and
 the estimator and moment identities (criteria 1-7); the full suite is the
-fast suite plus the Monte Carlo exponent and threshold checks (criteria
-8-9).  Every check runs at one strength in both suites.  Each reports a
-measured quantity against its expectation.
+fast suite plus the estimator identities in the bright bath N_B = 50 and
+the Monte Carlo exponent and threshold checks (criteria 8-9).  Every
+check runs at one strength in both suites.  Each reports a measured
+quantity against its expectation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import numpy as np
 from .estimator import (eta_derivative, mgf_empirical, mgf_radius,
                         moment_bound_check, outcome_distribution, received_state,
                         sld_observable, trace_moments, unbiasedness_check)
-from .qfi import (converge_cutoff, qfi_bounds, qfi_cat_direct,
-                  qfi_gaussian_closed, qfi_schmidt)
+from .qfi import (BATH_TAIL, converge_cutoff, default_cutoff, qfi_bounds, qfi_cat_direct,
+                  qfi_gaussian_closed, qfi_schmidt, thermal_cutoff)
 from .sim import Z_95, ProtocolConfig, gaussian_rate_fit, simulate
 from .states import (cat_state, cat_state_infinite_d, coherent,
-                     max_entangled_fock, tmsv)
+                     max_entangled_fock, state_from_family, tmsv)
 
 NS_GRID = (0.01, 0.1, 0.5, 1.0, 2.0)
 NB_GRID = (0.1, 1.0, 10.0, 50.0, 100.0)
@@ -171,6 +172,32 @@ def check_sld_identities() -> CheckResult:
                        "intercept=0@1e-9")
 
 
+def check_bright_bath_identities() -> CheckResult:
+    """The estimator at N_B = 50 (N_S = 0.5, automatic cutoffs, d_b = 933),
+    where no dense oracle fits: Tr(rho_0 O) = 0, unit slope and
+    Var_0 H = 1.  Slope and variance may miss by the thermal tail cut at
+    d_b, whose n-weighted mass relative to N_B is delta (d_b + N_B) / N_B
+    for the geometric law, delta the received state's deficit, and each is
+    held to twice that."""
+    nb = 50.0
+    d_b = thermal_cutoff(nb, BATH_TAIL)
+    ok = True
+    notes = []
+    for family in ("tmsv", "coherent", "cat:2"):
+        state = state_from_family(family, 0.5, default_cutoff(family, 0.5))
+        obs = sld_observable(state, nb, d_b)
+        rho0 = received_state(state, nb, 0.0, d_b)
+        tol = 2.0 * rho0.trace_deficit * (d_b + nb) / nb
+        devs = (abs(trace_moments(rho0.blocks, obs, 1)[0]),
+                abs(unbiasedness_check(state, nb, d_b)["slope"] - 1.0),
+                abs(outcome_distribution(rho0, obs).variance() * qfi_schmidt(state, nb).h - 1.0))
+        ok &= all(dev <= tol for dev in devs)
+        notes.append(f"{family}: Tr(r0 O)={devs[0]:.1e}, slope-1={devs[1]:.1e}, "
+                     f"var H-1={devs[2]:.1e}, tol {tol:.1e}")
+    return CheckResult("bright_bath_identities", bool(ok), "; ".join(notes),
+                       "Tr(r0 O)=0, slope=1 and var H=1 to 2 delta (d_b + N_B) / N_B")
+
+
 def check_moment_machinery() -> CheckResult:
     state = tmsv(0.3, 30)
     nb = 1.0
@@ -243,5 +270,5 @@ def run_suite(suite: str) -> list:
               check_gain_cap, check_cat_limits, check_gain_ordering,
               check_sld_identities, check_moment_machinery]
     if suite == "full":
-        checks += [check_mc_exponents, check_xi_optimality]
+        checks += [check_bright_bath_identities, check_mc_exponents, check_xi_optimality]
     return [check() for check in checks]

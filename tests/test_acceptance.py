@@ -86,6 +86,12 @@ def test_criterion_07_moment_mgf_machinery():
     assert _check("7", validate.check_moment_machinery())
 
 
+def test_bright_bath_estimator_identities():
+    # the full suite's N_B = 50 check: criterion 6's estimator identities
+    # where no dense oracle fits, to the audited bath tail
+    assert _check("6 at N_B = 50", validate.check_bright_bath_identities())
+
+
 @pytest.mark.slow
 def test_criterion_08_monte_carlo_exponents():
     start = time.perf_counter()

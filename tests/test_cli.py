@@ -103,6 +103,29 @@ def test_qfi_fully_pruned_state_exits_2(capsys):
     assert json.loads(capsys.readouterr().out)["gain"] <= 2.0
 
 
+def test_cutoff_that_zeroes_h_with_photons_lost_exits_2(capsys):
+    # cutoff 1 keeps only the vacuum of a coherent state at N_S = 1: H = 0
+    # and 1 - e^-1 of its probability lost to the cut
+    import qillum.cli as cli
+
+    for command in (["qfi", "--family", "coherent", "--ns", "1", "--nb", "1"],
+                    ["curves", "--families", "coherent", "--ns", "1", "--nb", "1"]):
+        assert cli.main(command + ["--cutoff", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "cutoff 1 leaves H = 0" in err and "0.632" in err
+
+
+def test_zero_h_with_nothing_lost_exits_0(capsys):
+    # the vacuum and maxfock:1 carry no information at any cutoff
+    import qillum.cli as cli
+
+    for command in (["qfi", "--family", "coherent", "--ns", "0", "--nb", "1"],
+                    ["qfi", "--family", "maxfock:1", "--nb", "1"]):
+        assert cli.main(command) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["H"] == 0.0 and report["deficit"] == 0.0
+
+
 def test_usage_error_exits_2():
     out = run_cli("qfi", "--family", "tmsv")
     assert out.returncode == 2
@@ -125,7 +148,8 @@ def test_curves_output(tmp_path):
 
 
 def test_curves_maxfock_rows_report_the_state_photon_number(capsys):
-    # maxfock:5 has N_S = 2 whatever the grid asks for; tmsv keeps the grid's
+    # maxfock:5 has N_S = 2 whatever the grid asks for, so it gets one row;
+    # tmsv keeps the grid's
     import qillum.cli as cli
 
     assert cli.main(["curves", "--nb", "1", "--ns", "0.1,0.5,1",
@@ -133,7 +157,7 @@ def test_curves_maxfock_rows_report_the_state_photon_number(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     header = lines[1].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
-    assert [r["N_S"] for r in rows if r["family"] == "maxfock:5"] == ["2.0"] * 3
+    assert [r["N_S"] for r in rows if r["family"] == "maxfock:5"] == ["2.0"]
     assert [r["N_S"] for r in rows if r["family"] == "tmsv"] == ["0.1", "0.5", "1.0"]
 
 
@@ -465,9 +489,9 @@ def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
 def test_commands_never_import_scipy(tmp_path):
     """qillum needs only numpy and the standard library at run time: a
     fresh interpreter that runs qfi, curves and simulate has no scipy
-    module loaded, neither at import nor lazily inside a command.  qfi and
-    curves load no statistics either, nor the decimal and fractions it
-    pulls in: only simulate's rates need it."""
+    module loaded, neither at import nor lazily inside a command.  None of
+    them loads statistics either, nor the decimal and fractions it pulls
+    in: simulate's rates invert erfc with math alone."""
     config = tmp_path / "protocol.json"
     config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0,
                                   "eta": 0.1, "m": [20, 40], "xi": [0.3, 0.5],
@@ -481,9 +505,8 @@ def test_commands_never_import_scipy(tmp_path):
             "import qillum.cli\n"
             "def loaded(*names):\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
-            f"codes = [qillum.cli.main(argv) for argv in {argvs[:2]!r}]\n"
+            f"codes = [qillum.cli.main(argv) for argv in {argvs!r}]\n"
             "light = loaded('statistics', 'decimal', 'fractions')\n"
-            f"codes.append(qillum.cli.main({argvs[2]!r}))\n"
             "print(json.dumps([codes, light, loaded('scipy')]))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -493,10 +516,10 @@ def test_commands_never_import_scipy(tmp_path):
     assert modules == []
 
 
-def test_simulate_warns_only_for_one_sector_states(tmp_path, capsys):
-    """A level state reaches the bright bath N_B = 50 in q-blocks and
-    runs without the desk-scale warning; a state with general vectors
-    gathers a dense (signal x bath) factor and still warns above N_B = 3."""
+def test_simulate_runs_bright_baths_without_warnings(tmp_path, capsys):
+    """A level state reaches the bright bath N_B = 50 in q-blocks, and a
+    state with general vectors runs above N_B = 3 too: the channel route
+    builds no (signal x bath) factor, so neither warns."""
     import qillum.cli as cli
     from qillum.qfi import qfi_gaussian_closed
 
@@ -511,8 +534,9 @@ def test_simulate_warns_only_for_one_sector_states(tmp_path, capsys):
     assert h == pytest.approx(qfi_gaussian_closed(0.5, 50.0), rel=1e-8)
     general = tmp_path / "general.json"
     general.write_text(json.dumps(dict(base, family="coherent", n_bath=4.0)))
-    cli.main(["simulate", "--config", str(general), "--out", str(tmp_path / "general.csv")])
-    assert "general signal vectors" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(general),
+                     "--out", str(tmp_path / "general.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_cli_overrides(tmp_path, sim_config):

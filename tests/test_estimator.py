@@ -1,5 +1,6 @@
 """Optimal observable construction, received states, and moment machinery."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from qillum.estimator import (eta_derivative, mgf_empirical,
                               sld_observable, trace_moments, unbiasedness_check)
 from qillum.fock import (DensityOperator, TruncationError, eig_hermitian,
                          thermal_weights)
-from qillum.qfi import qfi_schmidt
-from qillum.states import cat_state, coherent, tmsv
+from qillum.qfi import BATH_TAIL, default_cutoff, qfi_schmidt, thermal_cutoff
+from qillum.states import cat_state, coherent, state_from_family, tmsv
 
 NB = 1.0
 DIM_BATH = 40
@@ -319,3 +320,82 @@ def test_block_route_in_the_bright_bath():
     assert abs(dist0.variance() * qfi_schmidt(state, nb).h - 1.0) <= tail
     for dist in (dist0, dist1):
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_real_transmitters_stay_float64():
+    """tmsv, coherent at phase 0 and cat:2 have real amplitudes, so the
+    received state, the SLD and its eigenvectors are built in float64."""
+    for label in ("tmsv", "coherent", "cat:2"):
+        state = state_from_family(label, 0.5, 20)
+        rho = received_state(state, NB, 0.1, 15)
+        obs = sld_observable(state, NB, 15)
+        arrays = ([b for _, b in rho.blocks] + [b for _, b in obs.blocks]
+                  + [vec for _, _, vec in obs.spectra])
+        assert all(x.dtype == np.float64 for x in arrays), label
+
+
+def test_zero_reflectivity_deficit_is_the_bath_tail():
+    """At eta = 0 the channel is the thermal state alone, so the deficit is
+    1 - sum_a p_a |w_a|^2 (1 - (N_B / (1 + N_B))^d_b): the transmitter's
+    loss plus the amplifier's tail above d_b, and nothing else."""
+    for label, d_s, n_bath, d_b in (("tmsv", 12, 1.0, 15), ("coherent", 10, 3.0, 20),
+                                    ("cat:2", 12, 0.5, 9), ("cat:3", 14, 2.0, 25)):
+        state = state_from_family(label, 0.8, d_s)
+        norms = np.sum(np.abs(state.vectors) ** 2, axis=0)
+        kept = np.sum(state.probs * norms) * (1.0 - (n_bath / (1.0 + n_bath)) ** d_b)
+        rho = received_state(state, n_bath, 0.0, d_b)
+        assert abs(rho.trace_deficit - (1.0 - kept)) <= 1e-15, label
+
+
+def test_complex_phase_gives_the_real_outcomes():
+    """coherent at phase 0.7 runs in complex128 and is the phase-0 state
+    rotated by e^(0.7 i n), which the SLD's eigenbasis absorbs: its outcome
+    distributions equal the float64 ones."""
+    for eta in (0.0, 0.2):
+        dists = []
+        for phase in (0.0, 0.7):
+            state = coherent(0.5, phase, 20)
+            obs = sld_observable(state, NB, 25)
+            rho = received_state(state, NB, eta, 25)
+            assert rho.blocks[0][1].dtype == (np.complex128 if phase else np.float64)
+            dists.append(outcome_distribution(rho, obs))
+        real, phased = dists
+        assert np.abs(phased.values - real.values).max() <= 1e-12
+        assert np.abs(phased.probabilities - real.probabilities).max() <= 1e-12
+
+
+def test_transmitted_port_keeps_the_bath_photons():
+    """tmsv at N_S = 0.1, N_B = 10, eta = 0.5 with the automatic cutoffs:
+    eta^2 N_B = 2.5 bath photons leave through the discarded port, and the
+    mean of the estimator under H1 is exactly eta for tmsv (it read
+    0.49748 while the received state truncated that port)."""
+    ns, nb, eta = 0.1, 10.0, 0.5
+    state = tmsv(ns, default_cutoff("tmsv", ns))
+    d_b = thermal_cutoff(nb, BATH_TAIL)
+    obs = sld_observable(state, nb, d_b)
+    dist = outcome_distribution(received_state(state, nb, eta, d_b), obs)
+    assert abs(dist.mean() - eta) <= 1e-8
+
+
+@pytest.mark.parametrize("label", ["tmsv", "coherent", "cat:2", "cat:3", "cat:inf",
+                                   "maxfock:4"])
+def test_bright_bath_received_states_are_cheap(label):
+    """At N_B = 50 (N_S = 0.5, eta = 0.1, automatic cutoffs, d_b = 933) the
+    received states of both hypotheses take at most 1 s together and peak
+    at most 150 MB under tracemalloc.  The time is read untraced, since
+    tracemalloc slows numpy's allocations several-fold."""
+    nb = 50.0
+    state = state_from_family(label, 0.5, default_cutoff(label, 0.5))
+    d_b = thermal_cutoff(nb, BATH_TAIL)
+    start = time.perf_counter()
+    for eta in (0.0, 0.1):
+        received_state(state, nb, eta, d_b)
+    assert time.perf_counter() - start <= 1.0
+    tracemalloc.start()
+    try:
+        for eta in (0.0, 0.1):
+            received_state(state, nb, eta, d_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150e6

@@ -213,6 +213,9 @@ def test_density_operator_rejects_trace_mismatch():
 def test_density_operator_invariants():
     w = thermal_weights(0.8, 30)
     rho = DensityOperator(one_block(np.diag(w)), (0.8 / 1.8) ** 30)
-    assert rho.blocks[0][1].dtype == np.complex128
+    # a real operator stays float64, a complex one is complex128
+    assert rho.blocks[0][1].dtype == np.float64
+    phased = DensityOperator(one_block(np.diag(w + 0j)), rho.trace_deficit)
+    assert phased.blocks[0][1].dtype == np.complex128
     assert np.linalg.eigvalsh(dense(rho.blocks)).min() >= -1e-10
     assert rho.trace() + rho.trace_deficit == pytest.approx(1.0, abs=1e-12)
