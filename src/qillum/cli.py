@@ -7,7 +7,7 @@ Subcommands
     validate   built-in verification suite (fast | full)
 
 Outputs are data only (CSV or JSON, never images).  Every command is
-deterministic given its flags and seed; CSV files start with a schema
+deterministic given its flags and config; CSV files start with a schema
 comment line.  Exit codes: 0 ok, 1 a failed ``validate`` check, 2 usage
 or invalid parameters, 3 non-convergence, 4 unresolved statistics.  An
 unwritable ``--out`` or ``--json-out`` exits 2 before any work.
@@ -115,11 +115,7 @@ def _check_writable(path: str | None) -> None:
 
 def cmd_qfi(args) -> int:
     _, report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
-    if args.format == "csv":
-        text = "# schema: qi.qfi.v1\n" + QfiReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-    else:
-        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -156,10 +152,7 @@ def cmd_simulate(args) -> int:
     unknown = sorted(payload.keys() - {f.name for f in dataclasses.fields(ProtocolConfig)})
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-    # command-line overrides shadow the file
-    overrides = {"eta": args.eta, "m": args.m, "xi": args.xi, "trials": args.trials,
-                 "seed": args.seed}
-    cfg = ProtocolConfig(**{**payload, **{k: v for k, v in overrides.items() if v is not None}})
+    cfg = ProtocolConfig(**payload)
     # the spectral work runs once, sequentially; only the sampling is fanned out
     dists = prepare_distributions(cfg)
     reports = sim.simulate(cfg, dists, args.threads)
@@ -224,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qfi_cut.add_argument("--cutoff", type=int, default=None)
     p_qfi_cut.add_argument("--rel-tol", type=float, default=None,
                            help="auto-converge the cutoff to this relative tolerance")
-    p_qfi.add_argument("--format", choices=("json", "csv"), default="json")
     p_qfi.add_argument("--out", default=None)
 
     p_cur = sub.add_parser("curves", help="gain sweep over signal photon number")
@@ -239,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo detection protocol")
     p_sim.add_argument("--config", required=True, help="JSON protocol config")
-    p_sim.add_argument("--eta", type=float, default=None)
-    p_sim.add_argument("--m", type=int, default=None)
-    p_sim.add_argument("--xi", type=float, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="CSV output path")
     p_sim.add_argument("--json-out", default=None)
     p_sim.add_argument("--threads", type=int, default=1)

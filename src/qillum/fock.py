@@ -16,13 +16,11 @@ No single-mode operator is built here: a ladder enters only as the
 entries of the blocks that use it (the beamsplitter chains below, the
 estimator's sector blocks in :mod:`qillum.estimator`).
 
-Multimode objects follow one global factor-ordering convention: whenever
-idler, signal, and bath modes appear together the factors are ordered
-(idler, signal, bath), and the joint index is row-major over the per-mode
-cutoffs.  Truncation never renormalizes: density operators carry the
-probability mass lost to the cutoff in an explicit ``trace_deficit`` so
-the truncation error stays auditable instead of silently biasing later
-denominators.
+The only joint space is (idler term a, returned-mode level n), at row
+a d_b + n for a returned-mode cutoff d_b.  Truncation never
+renormalizes: density operators carry the probability mass lost to the
+cutoff in an explicit ``trace_deficit`` so the truncation error stays
+auditable instead of silently biasing later denominators.
 
 All functions here are pure; returned arrays are treated as immutable
 and are safe to share across threads.

@@ -56,8 +56,6 @@ class QfiReport:
     cutoff: int
     deficit_warning: float
 
-    CSV_HEADER = "family,N_S,N_B,H,H_Q1,H_Q2,H_C,gain_db,cutoff,deficit"
-
     @property
     def gain(self) -> float:
         return self.h / self.h_c if self.h_c > 0 else math.nan
@@ -81,12 +79,6 @@ class QfiReport:
             "deficit": self.deficit_warning,
             "equals_classical": bool(abs(self.h - self.h_c) <= 1e-9 * max(self.h_c, 1e-300)),
         }
-
-    def to_csv_row(self) -> str:
-        cells = [self.family, repr(self.n_signal), repr(self.n_bath), repr(self.h),
-                 repr(self.h_q1), repr(self.h_q2), repr(self.h_c), repr(self.gain_db),
-                 str(self.cutoff), repr(self.deficit_warning)]
-        return ",".join(cells)
 
 
 def qfi_bounds(n_signal: float, n_bath: float):

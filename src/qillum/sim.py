@@ -78,8 +78,6 @@ class ProtocolConfig:
     eta: float = 0.1                  # true reflectivity under H1
     m: tuple = (500,)                 # copies averaged per trial
     xi: tuple = (0.5,)                # threshold fractions, declare at eta_hat > xi*eta
-    prior_absent: float = 0.5
-    prior_present: float = 0.5
     trials: int = 100_000
     seed: int = 2024
     d_signal: int | None = None       # transmitter cutoff (None = qfi.default_cutoff)
@@ -92,7 +90,7 @@ class ProtocolConfig:
         if not self.m or not self.xi:
             raise ValueError("'m' and 'xi' need at least one value each")
         parse_family(self.family)
-        for name in ("n_signal", "n_bath", "eta", "prior_absent", "prior_present"):
+        for name in ("n_signal", "n_bath", "eta"):
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
                     and math.isfinite(v)):
@@ -111,9 +109,6 @@ class ProtocolConfig:
         # the seed is the 64-bit Philox key: outside [0, 2^64) distinct seeds would collide
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if abs(self.prior_absent + self.prior_present - 1.0) > 1e-12 or \
-                min(self.prior_absent, self.prior_present) < 0:
-            raise ValueError("priors must form a distribution")
         # a JSON true would run as cutoff 1, and 20.0 fail deep in numpy
         for name, least in (("d_signal", 1), ("dim_bath", 2)):
             v = getattr(self, name)
@@ -145,7 +140,7 @@ class ErrorReport:
     p_type1_ci: tuple
     p_type2: float
     p_type2_ci: tuple
-    pr_err: float
+    pr_err: float                     # (P_I + P_II) / 2, the equal-prior error
     rate_type1_raw: float             # -log(P_I) / M
     rate_type2_raw: float
     rate_type1: float                 # Gaussian-tail-inverted rate
@@ -299,14 +294,14 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     drawing it at once.
 
     A mean depends only on how often each outcome was drawn.  The head
-    outcomes, those with m p_j >= HEAD_DRAWS (by descending p, then by
-    value), are counted: one ``Generator.multinomial(m, [p_head...,
-    p_tail])`` call gives every trial of the chunk its head counts and
-    its tail count c, by conditional binomials (C. S. Davis, Comput.
-    Stat. Data Anal. 16, 205, 1993), and the head sum is the row sum of
-    counts times values.  Each trial's c tail draws then come one by one,
-    in trial order, through a guide table over the tail outcomes, several
-    draws from each raw word of the same generator (``_tail_sums``).
+    outcomes, those with m p_j >= HEAD_DRAWS, are counted in value order,
+    which roundoff in p cannot change: one ``Generator.multinomial(m,
+    [p_head..., p_tail])`` call gives every trial of the chunk its head
+    counts and its tail count c, by conditional binomials (C. S. Davis,
+    Comput. Stat. Data Anal. 16, 205, 1993), and the head sum is the row
+    sum of counts times values.  Each trial's c tail draws then come one
+    by one, in trial order, through a guide table over the tail outcomes,
+    several draws from each raw word of the same generator (``_tail_sums``).
     Given the counts, the tail draws are independent draws from the
     tail's conditional law, so every mean has the law of m independent
     draws.  No BLAS call is involved, so the means do not depend on the
@@ -335,8 +330,7 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     # a zero-probability outcome is never drawn
     vals, p = vals[p > 0.0], p[p > 0.0] / total
     in_head = m * p >= HEAD_DRAWS
-    rank = np.lexsort((vals[in_head], -p[in_head]))
-    head_vals, head_p = vals[in_head][rank], p[in_head][rank]
+    head_vals, head_p = vals[in_head], p[in_head]
     tail_vals, tail_p = vals[~in_head], p[~in_head]
     # multinomial's last category takes the remaining mass: the tail, or
     # the last head outcome when there is no tail
@@ -487,7 +481,7 @@ def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
             p_type1_ci=ci1,
             p_type2=p2,
             p_type2_ci=ci2,
-            pr_err=cfg.prior_absent * p1 + cfg.prior_present * p2,
+            pr_err=0.5 * (p1 + p2),
             rate_type1_raw=-math.log(p1) / m if p1 > 0 else math.inf,
             rate_type2_raw=-math.log(p2) / m if p2 > 0 else math.inf,
             rate_type1=rate1,

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import re
 import shlex
@@ -38,15 +39,6 @@ def test_qfi_maxfock_value_and_flag():
     assert abs(payload["H"] - 1.6) < 1e-10
     assert payload["equals_classical"]
     assert payload["gain_db"] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_qfi_csv_schema():
-    out = run_cli("qfi", "--family", "tmsv", "--ns", "0.5", "--nb", "1",
-                  "--format", "csv")
-    lines = out.stdout.strip().split("\n")
-    assert lines[0] == "# schema: qi.qfi.v1"
-    assert lines[1].startswith("family,N_S,N_B,H,")
-    assert lines[2].startswith("tmsv,")
 
 
 def test_qfi_invalid_family_exits_2():
@@ -174,6 +166,17 @@ def test_readme_command_lines_parse():
     assert {argv[1] for argv in commands} == {"qfi", "curves", "simulate", "validate"}
     for argv in commands:
         cli.build_parser().parse_args(argv[1:])
+    # every --flag that the README names, prose included, is an option of
+    # some subcommand; only its pip and python command lines name other flags
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    options = {opt for parser in sub.choices.values() for action in parser._actions
+               for opt in action.option_strings}
+    text = "\n".join(line for line in readme.splitlines()
+                     if not line.startswith(("pip ", "python ")))
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert {"--config", "--rel-tol", "--threads"} <= named
+    assert named <= options, sorted(named - options)
 
 
 def test_curves_grid_spec():
@@ -267,8 +270,8 @@ def test_simulate_draws_once_per_m(tmp_path, monkeypatch):
     # and every row is the row of a run with that xi alone
     for xi in cfg["xi"]:
         single = tmp_path / f"xi{xi}.csv"
-        assert cli.main(["simulate", "--config", str(path), "--out", str(single),
-                         "--xi", str(xi)]) == 0
+        path.write_text(json.dumps(dict(cfg, xi=xi)))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(single)]) == 0
         assert single.read_text().split("\n")[2:4] == \
             [",".join(row) for row in rows if row[4] == repr(xi)]
 
@@ -348,7 +351,8 @@ def test_simulate_bad_config_exits_2_naming_the_key(tmp_path, capsys):
     cases = [(dict(good, n_signal="0.5"), "n_signal"),
              (dict(good, eta=None), "eta"),
              (dict(good, n_bath={"mean": 1.0}), "n_bath"),
-             (dict(good, prior_absent="half"), "prior_absent"),
+             (dict(good, prior_absent=0.5), "'prior_absent'"),
+             (dict(good, prior_present=0.5), "'prior_present'"),
              (dict(good, xi=[0.5, None]), "xi"),
              (dict(good, xi={"lo": 0.3}), "xi"),
              (dict(good, xi="0.5"), "xi"),
@@ -470,19 +474,19 @@ def test_simulate_distinct_seeds_give_distinct_rows(tmp_path, capsys):
     base = {"family": "tmsv", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.1,
             "m": 20, "xi": 0.5, "trials": 200}
     path = tmp_path / "seeded.json"
-    path.write_text(json.dumps(base))
     rows = []
     for seed in ((1 << 63) + 5, (1 << 63) + 99, 7):
         out = tmp_path / f"{seed}.csv"
-        assert cli.main(["simulate", "--config", str(path), "--seed", str(seed),
-                         "--out", str(out)]) == 0
+        path.write_text(json.dumps(dict(base, seed=seed)))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         row = out.read_text().strip().split("\n")[2].split(",")
         assert row[-1] == str(seed)
         rows.append(row[:-1])
     assert rows[0] != rows[1] and rows[0] != rows[2] and rows[1] != rows[2]
     # negative seeds used to wrap to one shared key; now they are usage errors
-    for seed in ("-1", "-3"):
-        assert cli.main(["simulate", "--config", str(path), "--seed", seed]) == 2
+    for seed in (-1, -3):
+        path.write_text(json.dumps(dict(base, seed=seed)))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
         assert "seed must be" in capsys.readouterr().err
 
 
@@ -539,17 +543,27 @@ def test_simulate_runs_bright_baths_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_simulate_cli_overrides(tmp_path, sim_config):
-    a = tmp_path / "o1.csv"
-    b = tmp_path / "o2.csv"
-    run_cli("simulate", "--config", str(sim_config), "--m", "80", "--xi", "0.5",
-            "--trials", "4000", "--out", str(a))
-    run_cli("simulate", "--config", str(sim_config), "--m", "80", "--xi", "0.5",
-            "--trials", "4000", "--seed", "123", "--out", str(b))
-    rows_a = a.read_text().strip().split("\n")
+def test_simulate_reads_its_parameters_from_the_config(tmp_path, sim_config, capsys):
+    import qillum.cli as cli
+
+    cfg = dict(json.loads(sim_config.read_text()), m=80, xi=0.5, trials=4000)
+    outs = []
+    for seed in (77, 123):
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(json.dumps(dict(cfg, seed=seed)))
+        outs.append(tmp_path / f"seed{seed}.csv")
+        res = run_cli("simulate", "--config", str(path), "--out", str(outs[-1]))
+        assert res.returncode == 0, res.stderr
+    rows_a = outs[0].read_text().strip().split("\n")
     assert len(rows_a) == 3  # schema, header, single point
     assert ",80," in rows_a[2]
-    assert a.read_bytes() != b.read_bytes()  # seed override took effect
+    assert outs[0].read_bytes() != outs[1].read_bytes()  # the config's seed took effect
+    # the config is the only route: no flag sets a protocol parameter
+    for flag in ("--eta", "--m", "--xi", "--trials", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(sim_config), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_qfi_rel_tol_autoconverge():

@@ -272,9 +272,6 @@ def test_report_serialization():
     payload = rep.to_json_dict()
     assert payload["family"] == "tmsv"
     assert payload["H"] == pytest.approx(1.0 / 19.0, rel=1e-9)
-    row = rep.to_csv_row()
-    assert row.startswith("tmsv,")
-    assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
 
 
 def test_report_infinite_bound_serializes():

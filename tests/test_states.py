@@ -84,6 +84,45 @@ def test_coherent_amplitudes_match_recurrence():
         assert np.all(np.abs(coherent_amplitudes(alpha, dim) - ref) <= tol)
 
 
+def test_coherent_amplitudes_start_at_the_poisson_mode():
+    # reference: the upward recurrence in 40-digit decimal arithmetic,
+    # whose exponent range holds exp(-N_S/2) at any N_S; in float64 that
+    # first factor underflows above N_S ~ 1490
+    from decimal import Decimal, localcontext
+
+    for ns in (64.0, 1000.0, 2000.0):
+        alpha = math.sqrt(ns)
+        dim = math.ceil(ns + 10 * math.sqrt(ns + 1) + 10)
+        amp = coherent_amplitudes(alpha, dim)
+        assert amp.dtype == np.float64
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ref = [(Decimal(alpha) ** 2 / -2).exp()]
+            for n in range(1, dim):
+                ref.append(ref[-1] * Decimal(alpha) / Decimal(n).sqrt())
+            ref = np.array([float(c) for c in ref])
+        big = ref > 1e-290
+        assert np.all(np.abs(amp[big] / ref[big] - 1.0) <= 1e-13)
+        assert np.all(amp[~big] <= 1e-280)
+        # the Poisson tail past dim is below 1e-20, so the norm is 1
+        assert abs(math.fsum(amp ** 2) - 1.0) <= 1e-14
+    # a phase moves no modulus
+    phased = coherent_amplitudes(math.sqrt(2000.0) * np.exp(0.7j), dim)
+    assert np.abs(np.abs(phased[big]) / ref[big] - 1.0).max() <= 1e-12
+
+
+def test_bright_coherent_and_cat_reach_the_classical_information():
+    # coherent and cat:2 states at N_S = 2000 both reach H = H_C = 4 N_S / (1 + 2 N_B)
+    from qillum.qfi import default_cutoff, qfi_schmidt
+
+    for family in ("coherent", "cat:2"):
+        state = state_from_family(family, 2000.0, default_cutoff(family, 2000.0))
+        assert state.deficit <= 1e-14
+        rep = qfi_schmidt(state, 1.0)
+        assert rep.h == pytest.approx(4 * 2000.0 / 3.0, rel=1e-12)
+        assert rep.gain == pytest.approx(1.0, abs=1e-12)
+
+
 def test_coherent_truncated_norm_is_poisson_cdf():
     st = coherent(1.0, 0.0, 6)
     norm2 = float(np.sum(np.abs(st.vectors[:, 0]) ** 2))
