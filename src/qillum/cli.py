@@ -68,8 +68,8 @@ def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
     is a ValueError: the zero comes from the cut, not from the state."""
     if not all(map(math.isfinite, (n_signal, n_bath))):
         raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
-    if cutoff is not None and cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff is not None and not 1 <= cutoff <= qfi.MAX_CUTOFF:
+        raise ValueError(f"cutoff must be >= 1 and at most the cap {qfi.MAX_CUTOFF}, got {cutoff}")
     if rel_tol is not None and not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
 

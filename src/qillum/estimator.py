@@ -28,8 +28,10 @@ family, coherent at phase 0), and complex otherwise, and the SLD spectrum
 and the outcome diagonal keep that dtype.
 The SLD is the only observable built here: the quadrature and ab + a'b'
 forms it reduces to for coherent and tmsv transmitters are test oracles.
-The reflectivity derivative of the received state is a block list on the
-same sectors, from the same ladder builder as the SLD.  Every trace
+The SLD, the reflectivity derivative and the received state are bands
+of entries that :func:`_hermitian_blocks` scatters into the sectors, the
+first two from the transmitter's lowering pairs, so no dense operator is
+built.  Every trace
 against the observable (outcome probabilities, moments Tr(X O^k)) is read
 from one diagonal <o_i|X|o_i> in its eigenbasis.  Outcomes are listed in
 block order, each block's eigenvalues ascending; no consumer relies on a
@@ -48,8 +50,8 @@ from .fock import (DensityOperator, TruncationError, eig_hermitian, group_indice
 # unused here: the benchmark's span recorder (perfbench/spans.py) wraps this
 # name, and tests/test_perfbench_spans.py requires it; both go together
 from .fock import beamsplitter_unitary  # noqa: F401
-from .qfi import qfi_schmidt, signal_lowering_matrix
-from .states import SchmidtState, _log_factorial
+from .qfi import qfi_schmidt
+from .states import SchmidtState
 
 # reflectivities of the quadratic fit in unbiasedness_check, ascending
 UNBIASED_ETAS = (0.0, 1e-3, 5e-3, 1e-2)
@@ -108,10 +110,10 @@ def eta_derivative(state: SchmidtState, n_bath: float, dim_bath: int) -> list:
     It is x + x' with x = sqrt(p_a p_a') conj(<w_a|s|w_a'>) |v_a><v_a'|
     (x) [b, rho_B], and [b, rho_B] = (rho_{n+1} - rho_n) sqrt(n+1) |n><n+1|.
     """
-    rho_w = thermal_weights(n_bath, dim_bath)
+    rows, cols, m = state.lowering_pairs()
     sp = np.sqrt(state.probs)
-    pair = sp[:, None] * sp[None, :] * np.conj(signal_lowering_matrix(state))
-    return _ladder_blocks(state, dim_bath, pair, np.append(np.diff(rho_w), 0.0))
+    return _ladder_blocks(state, dim_bath, (rows, cols, sp[rows] * sp[cols] * np.conj(m)),
+                          np.append(np.diff(thermal_weights(n_bath, dim_bath)), 0.0))
 
 
 def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> ObservableSpectrum:
@@ -127,11 +129,12 @@ def sld_observable(state: SchmidtState, n_bath: float, dim_bath: int) -> Observa
         raise ValueError("state carries no reflectivity information, no estimator exists")
     p = state.probs
     q = n_bath / (1.0 + n_bath)
-    m = signal_lowering_matrix(state)  # m[i, j] = <w_i|s|w_j>
-    c = np.sqrt(np.outer(p, p)) * m / (p[:, None] + p[None, :] * q)
+    rows, cols, m = state.lowering_pairs()   # m = <w_rows|s|w_cols>
+    c = np.sqrt(p[rows] * p[cols]) * m / (p[rows] + p[cols] * q)
+    # scaled after assembly, so the zeros between the entries are -0.0 as well
     scale = -2.0 / (rep.h * (1.0 + n_bath))
-    blocks = [(rows, x * scale)
-              for rows, x in _ladder_blocks(state, dim_bath, np.conj(c), np.ones(dim_bath))]
+    blocks = [(sector, x * scale) for sector, x in
+              _ladder_blocks(state, dim_bath, (rows, cols, np.conj(c)), np.ones(dim_bath))]
     return ObservableSpectrum(eig_hermitian(blocks), blocks)
 
 
@@ -160,20 +163,22 @@ def _sectors(state: SchmidtState, dim_bath: int) -> list:
     return list(group_indices(np.subtract.outer(low, n) % period).values())
 
 
-def _ladder_blocks(state: SchmidtState, dim_bath: int, pair: np.ndarray,
+def _ladder_blocks(state: SchmidtState, dim_bath: int, pairs: tuple,
                    weight: np.ndarray) -> list:
-    """x + x' on each sector of :func:`_sectors`, with x[(a, n), (a', n')] =
-    pair[a, a'] weight[n] sqrt(n + 1) where n' = n + 1 and zero elsewhere:
-    the one place <n|b|n'> is built.  x and x' have disjoint supports, so
-    the sum rounds nothing."""
-    blocks = []
-    for rows in _sectors(state, dim_bath):
-        a, n = np.divmod(rows, dim_bath)
-        ladder = np.where(n[None, :] == n[:, None] + 1,
-                          (weight[n] * np.sqrt(n + 1))[:, None], 0.0)
-        x = pair[np.ix_(a, a)] * ladder
-        blocks.append((rows, x + x.conj().T))
-    return blocks
+    """x + x' on the sectors of :func:`_sectors`, x[(a, n), (a', n + 1)] =
+    pair[k] (weight[n] sqrt(n + 1)) at (a, a') = (rows[k], cols[k]) of
+    ``pairs`` = (rows, cols, pair): the one place <n|b|n + 1> is built.  x'
+    is the band delta = 1 of (a', a) with conjugated values, which leaves
+    weight[dim_bath - 1] unread."""
+    rows, cols, pair = pairs
+    ladder = weight * np.sqrt(np.arange(1, dim_bath + 1))
+    return _hermitian_blocks(_sectors(state, dim_bath), dim_bath, np.ones_like(rows),
+                             cols, rows, np.conj(pair[:, None] * ladder))
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    # log space: the factorials in the Kraus coefficients overflow at large cutoffs
+    return np.array([math.lgamma(k + 1) for k in np.asarray(n).tolist()], dtype=float)
 
 
 def _xlog(x, y: float):
@@ -220,12 +225,18 @@ def _channel_kernel(n_bath: float, eta: float, d_s: int, dim_bath: int) -> np.nd
     return amplifier @ loss.transpose(0, 2, 1)
 
 
-def _hermitian_blocks(sectors: list, x: np.ndarray, y: np.ndarray,
-                      values: np.ndarray) -> list:
-    """Block list on ``sectors`` with ``values`` at the joint entries (x, y)
-    and their conjugates at (y, x), zero elsewhere; each (x, y) lies in one
-    sector.  The blocks are views of one flat buffer, in which entry (x, y)
-    sits at rowbase[x] + local[y]."""
+def _hermitian_blocks(sectors: list, dim_bath: int, delta: np.ndarray, a: np.ndarray,
+                      a2: np.ndarray, band: np.ndarray) -> list:
+    """Block list on ``sectors`` with band[p, n] at the joint entry (x, y) =
+    ((a[p], n + delta[p]), (a2[p], n)) for each n + delta[p] < dim_bath, and
+    its conjugate at (y, x), zero elsewhere; each (x, y) lies in one sector.
+    The blocks are views of one flat buffer, in which entry (x, y) sits at
+    rowbase[x] + local[y].  Every sector block is written here."""
+    n = np.arange(dim_bath)
+    inside = n < dim_bath - delta[:, None]
+    x = ((a * dim_bath + delta)[:, None] + n)[inside]
+    y = ((a2 * dim_bath)[:, None] + n)[inside]
+    values = band[inside]
     size = np.array([len(rows) for rows in sectors])
     start = np.cumsum(size ** 2) - size ** 2
     joint = np.concatenate(sectors)
@@ -293,13 +304,8 @@ def received_state(state: SchmidtState, n_bath: float, eta: float, dim_bath: int
     band = (_channel_kernel(n_bath, eta, d_s, dim_bath) @ cols)[delta, :, slot]
 
     # band[p, n'] is rho[(a, n' + delta), (a', n')] of pair p, for n' + delta < dim_bath
-    n = np.arange(dim_bath)
-    inside = n < dim_bath - delta[:, None]
-    x = ((a * dim_bath + delta)[:, None] + n)[inside]
-    y = ((a2 * dim_bath)[:, None] + n)[inside]
-    band = band[inside]
-    blocks = _hermitian_blocks(_sectors(state, dim_bath), x, y, band)
-    deficit = max(0.0, 1.0 - math.fsum(band[x == y].real.tolist()))
+    blocks = _hermitian_blocks(_sectors(state, dim_bath), dim_bath, delta, a, a2, band)
+    deficit = max(0.0, 1.0 - math.fsum(band[(delta == 0) & (a == a2)].real.ravel().tolist()))
     if deficit_tol is not None and deficit > deficit_tol:
         raise TruncationError(
             f"received-state deficit {deficit:.3e} exceeds tolerance {deficit_tol:.3e}")

@@ -3,11 +3,11 @@
 Everything is evaluated at zero reflectivity, where the received state is
 the product of the idler marginal and the thermal background.  The main
 entry point is :func:`qfi_schmidt`, the closed pair-sum over Schmidt
-terms, summed over the nonzero entries of the signal lowering matrix
-that :meth:`SchmidtState.lowering_pairs` gives: the consecutive levels
-of a Fock-diagonal level state in O(rank), or a shifted-slice ladder for
-general vectors.  No d x d operator is built on this path, so its cost
-does not grow with the cutoff of a level state.
+terms, summed over the lowering pairs (a, a', <w_a|s|w_a'> != 0) that
+:meth:`SchmidtState.lowering_pairs` gives: the consecutive levels of a
+Fock-diagonal level state in O(rank), or a shifted-slice ladder for
+general vectors.  No d x d or r x r matrix is built on this path, so its
+cost does not grow with the cutoff of a level state.
 :func:`qfi_cat_direct` evaluates the cat-family spectral sum with an
 explicit received-mode cutoff.
 """
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DimensionError, thermal_weights
-from .states import SchmidtState, cat_idler_eigenvalues, parse_family
+from .states import MAX_CUTOFF, SchmidtState, cat_idler_eigenvalues, parse_family
 
 DENOM_GUARD = 1e-14
-MAX_CUTOFF = 1 << 15
 # Bose-Einstein mass left past the automatic cutoffs (see thermal_cutoff)
 SIGNAL_TAIL = 1e-12   # tmsv: H stays within ~1e-11 of its closed form
 BATH_TAIL = 1e-8      # simulate: a received-state deficit far below Monte Carlo resolution
@@ -102,14 +101,6 @@ def qfi_gaussian_closed(n_signal: float, n_bath: float) -> float:
     shrink = 1.0 + (n_signal / (1.0 + n_signal)) * (n_bath / (1.0 + n_bath)) \
         if n_signal > 0 else 1.0
     return 4.0 * n_signal / (1.0 + n_bath) / shrink
-
-
-def signal_lowering_matrix(state: SchmidtState) -> np.ndarray:
-    """Dense r x r view m[i, j] = <w_i| s |w_j> of the state's lowering pairs."""
-    rows, cols, values = state.lowering_pairs()
-    m = np.zeros((state.rank, state.rank), dtype=np.result_type(values, float))
-    m[rows, cols] = values
-    return m
 
 
 def qfi_schmidt(state: SchmidtState, n_bath: float) -> QfiReport:
@@ -209,14 +200,19 @@ def default_cutoff(family: str, n_signal: float) -> int:
 
     maxfock:<d> keeps its rank d; tmsv keeps its geometric tail below
     SIGNAL_TAIL; coherent and the cat families take the Poisson mean plus
-    ten standard deviations and ten levels, never fewer than 20.
+    ten standard deviations and ten levels, never fewer than 20.  A rule
+    that asks for more than MAX_CUTOFF is a ConvergenceError.
     """
     name, order = parse_family(family)
     if name == "maxfock":
         return order
     if name == "tmsv":
         return thermal_cutoff(n_signal, SIGNAL_TAIL)
-    return math.ceil(n_signal + 10.0 * math.sqrt(n_signal + 1.0) + 10.0)
+    cutoff = math.ceil(n_signal + 10.0 * math.sqrt(n_signal + 1.0) + 10.0)
+    if cutoff > MAX_CUTOFF:
+        raise ConvergenceError(f"a Poisson mean {n_signal:g} needs cutoff {cutoff}, "
+                               f"above the cap {MAX_CUTOFF}")
+    return cutoff
 
 
 def converge_cutoff(f, start: int, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF):

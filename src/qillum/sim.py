@@ -41,7 +41,7 @@ from numpy.random import Generator, Philox
 
 from .estimator import outcome_distribution, received_state, sld_observable
 from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
-from .states import SchmidtState, parse_family, state_from_family
+from .states import MAX_CUTOFF, SchmidtState, parse_family, state_from_family
 
 # trials per Philox chunk, the unit of generation: a doubling ladder from a
 # multiple of it (2048 trials, say) never generates a chunk twice
@@ -112,8 +112,9 @@ class ProtocolConfig:
         # a JSON true would run as cutoff 1, and 20.0 fail deep in numpy
         for name, least in (("d_signal", 1), ("dim_bath", 2)):
             v = getattr(self, name)
-            if v is not None and not (_is_int(v) and v >= least):
-                raise ValueError(f"cutoff {name} must be >= {least} and an integer, got {v!r}")
+            if v is not None and not (_is_int(v) and least <= v <= MAX_CUTOFF):
+                raise ValueError(f"cutoff {name} must be >= {least} and an integer, at most "
+                                 f"the cap {MAX_CUTOFF}, got {v!r}")
 
 
 @dataclass

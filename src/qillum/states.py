@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRUNE_EPS = 1e-14
+MAX_CUTOFF = 1 << 15   # the largest Fock cutoff, and family order, any input may ask for
 FAMILY_LABELS = ("tmsv", "coherent", "cat:<d>", "cat:inf", "maxfock:<d>")
 
 
@@ -261,19 +262,12 @@ def cat_state(n_signal: float, d: int, d_signal: int) -> SchmidtState:
 
 
 def cat_state_infinite_d(n_signal: float, d_signal: int) -> SchmidtState:
-    """Infinite-component cat limit: Poisson coefficients p_n, w_n = |n>."""
+    """Infinite-component cat limit: Poisson coefficients p_n, w_n = |n>,
+    the squared amplitudes of :func:`coherent_amplitudes`."""
     if n_signal < 0:
         raise ValueError("mean photon number must be >= 0")
-    n = np.arange(d_signal)
-    log_p = -n_signal + n * np.log(n_signal) - _log_factorial(n) if n_signal > 0 \
-        else np.where(n == 0, 0.0, -np.inf)
-    return _finalize(np.exp(log_p), None, d_signal,
+    return _finalize(coherent_amplitudes(math.sqrt(n_signal), d_signal) ** 2, None, d_signal,
                      {"family": "cat:inf", "n_signal": n_signal})
-
-
-def _log_factorial(n: np.ndarray) -> np.ndarray:
-    # log space: a cumprod of Poisson amplitudes underflows at large N_S
-    return np.array([math.lgamma(k + 1) for k in np.asarray(n).tolist()], dtype=float)
 
 
 def schmidt_decompose(amplitudes: np.ndarray, meta: dict | None = None) -> SchmidtState:
@@ -299,12 +293,14 @@ def parse_family(family: str):
     Labels: ``tmsv``, ``coherent``, ``cat:<d>``, ``cat:inf``,
     ``maxfock:<d>``.  The order is the integer ``d`` of ``cat:<d>`` and
     ``maxfock:<d>`` and None otherwise; ``cat:inf`` keeps its full label
-    as its name.
+    as its name.  An order above MAX_CUTOFF is a ValueError.
     """
     if family in ("tmsv", "coherent", "cat:inf"):
         return family, None
     name, _, order = str(family).partition(":")
     if name in ("cat", "maxfock") and order.isdigit():
+        if int(order) > MAX_CUTOFF:
+            raise ValueError(f"family {family!r} has an order above the cap {MAX_CUTOFF}")
         return name, int(order)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_LABELS}")
 

@@ -10,6 +10,14 @@ def annihilation(dim):
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(np.complex128)
 
 
+def lowering_matrix(state):
+    """The r x r matrix m[i, j] = <w_i| s |w_j> of a state's lowering pairs."""
+    rows, cols, values = state.lowering_pairs()
+    m = np.zeros((state.rank, state.rank), dtype=np.result_type(values, float))
+    m[rows, cols] = values
+    return m
+
+
 def dense(blocks):
     """The matrix of a list of (rows, square block) pairs, zero outside
     the blocks."""

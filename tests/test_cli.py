@@ -635,7 +635,7 @@ def test_bright_tmsv_nonconvergence_exits_3_quickly(capsys):
     assert payload["H"] == pytest.approx(exact, rel=1e-9)
 
 
-def test_bright_tmsv_default_cutoff_has_one_cap(capsys):
+def test_bright_tmsv_default_cutoff_has_one_cap(tmp_path, capsys):
     # the 1e-12 tail rule asks for cutoff 27647 at N_S = 1000, below the
     # 32768 cap of converge_cutoff, and for more than the cap at N_S = 2000
     import qillum.cli as cli
@@ -650,6 +650,28 @@ def test_bright_tmsv_default_cutoff_has_one_cap(capsys):
     # at N_S = 1e17 the ratio N_S / (1 + N_S) rounds to 1, whose log is 0
     assert cli.main(["qfi", "--family", "tmsv", "--ns", "1e17", "--nb", "50"]) == 3
     assert "cap 32768" in capsys.readouterr().err
+    # every other cutoff has the same cap: a cutoff or family order above it
+    # exits 2 before any array is sized by it (10^15 levels would be a
+    # MemoryError), and a Poisson rule above it exits 3, as tmsv's does
+    from qillum.qfi import MAX_CUTOFF
+
+    def assert_exit(argv, code):
+        assert cli.main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert "cap 32768" in err and "Traceback" not in err, argv
+
+    for big in (10 ** 15, MAX_CUTOFF + 1):
+        assert_exit(["qfi", "--family", "tmsv", "--ns", "1", "--nb", "1",
+                     "--cutoff", str(big)], 2)
+        for family in (f"cat:{big}", f"maxfock:{big}"):
+            assert_exit(["qfi", "--family", family, "--ns", "1", "--nb", "1"], 2)
+        for key in ("d_signal", "dim_bath"):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({"family": "tmsv", key: big}))
+            assert_exit(["simulate", "--config", str(cfg)], 2)
+    for family in ("coherent", "cat:2", "cat:inf"):
+        for ns in ("1e15", "40000"):
+            assert_exit(["qfi", "--family", family, "--ns", ns, "--nb", "1"], 3)
 
 
 def test_nonconvergence_exits_3(monkeypatch):

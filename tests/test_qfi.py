@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense import annihilation, dense
+from dense import annihilation, dense, lowering_matrix
 from hypothesis import example, given, settings, strategies as st
 
 from qillum.estimator import eta_derivative, signal_antinormal_moments
 from qillum.fock import thermal_weights
 from qillum.qfi import (ConvergenceError, converge_cutoff, qfi_bounds,
-                        qfi_cat_direct, qfi_gaussian_closed, qfi_schmidt,
-                        signal_lowering_matrix)
+                        qfi_cat_direct, qfi_gaussian_closed, qfi_schmidt)
 from qillum.states import (SchmidtState, cat_state, cat_state_infinite_d,
                            coherent, max_entangled_fock, schmidt_decompose,
                            state_from_family, tmsv)
@@ -153,8 +152,7 @@ def assert_routes_agree(state, n_bath, dim_bath, perm):
     general = explicit_columns(state, perm)
     assert_close(qfi_schmidt(state, n_bath).h, qfi_schmidt(general, n_bath).h)
     assert_close(state.mean_photons(), general.mean_photons())
-    assert_close(signal_lowering_matrix(state)[np.ix_(perm, perm)],
-                 signal_lowering_matrix(general))
+    assert_close(lowering_matrix(state)[np.ix_(perm, perm)], lowering_matrix(general))
     joint = (perm[:, None] * dim_bath + np.arange(dim_bath)).ravel()
     assert_close(dense(eta_derivative(state, n_bath, dim_bath))[np.ix_(joint, joint)],
                  dense(eta_derivative(general, n_bath, dim_bath)))
@@ -203,7 +201,7 @@ def test_sliced_ladder_matches_dense_annihilation():
                   schmidt_decompose(amp / np.linalg.norm(amp))):
         v, d = state.vectors, state.d_signal
         a = annihilation(d + 3)
-        assert_close(signal_lowering_matrix(state), v.conj().T @ a[:d, :d] @ v)
+        assert_close(lowering_matrix(state), v.conj().T @ a[:d, :d] @ v)
         lowered = a[:d, :d] @ v
         assert_close(state.mean_photons(),
                      np.sum(state.probs * np.sum(np.abs(lowered) ** 2, axis=0)))

@@ -17,14 +17,14 @@ out.
 """
 
 import numpy as np
-from dense import annihilation, dense, dense_unitary
+from dense import annihilation, dense, dense_unitary, lowering_matrix
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from qillum.estimator import (_sectors, eta_derivative, outcome_distribution,
                               received_state, sld_observable)
 from qillum.fock import beamsplitter_unitary, group_indices, thermal_weights
-from qillum.qfi import qfi_schmidt, signal_lowering_matrix
+from qillum.qfi import BATH_TAIL, default_cutoff, qfi_schmidt, thermal_cutoff
 from qillum.states import SchmidtState, schmidt_decompose, state_from_family
 
 
@@ -71,7 +71,7 @@ def dense_sld(state, n_bath, dim_bath):
     """The closed-form SLD divided by H, as two full Kronecker products."""
     p = state.probs
     q = n_bath / (1.0 + n_bath)
-    c = np.sqrt(np.outer(p, p)) * signal_lowering_matrix(state) / (p[:, None] + p[None, :] * q)
+    c = np.sqrt(np.outer(p, p)) * lowering_matrix(state) / (p[:, None] + p[None, :] * q)
     b = annihilation(dim_bath)
     obs = np.kron(np.conj(c), b) + np.kron(c.T, b.conj().T)
     return -2.0 / (qfi_schmidt(state, n_bath).h * (1.0 + n_bath)) * obs
@@ -85,7 +85,7 @@ def dense_eta_derivative(state, n_bath, dim_bath):
     b = annihilation(dim_bath)
     comm_b = b @ rho_b - rho_b @ b
     comm_bd = b.conj().T @ rho_b - rho_b @ b.conj().T
-    m = signal_lowering_matrix(state)
+    m = lowering_matrix(state)
     sp = np.sqrt(state.probs)
     outer = sp[:, None] * sp[None, :]
     return np.kron(outer * np.conj(m), comm_b) - np.kron(outer * m.T, comm_bd)
@@ -233,3 +233,19 @@ def test_sectors_follow_the_support_of_the_vectors():
             assert len(sectors) == d
             assert all(len(rows) == d_b for rows in sectors)
             assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(d * d_b))
+
+
+def test_every_sld_sector_is_a_zero_diagonal_jacobi_matrix():
+    # ordered by returned level n, each sector holds one row per n, at
+    # consecutive n, and the SLD couples n only to n +- 1
+    for family in ("tmsv", "coherent", "cat:2", "cat:3", "cat:inf", "maxfock:4"):
+        for n_bath in (0.5, 3.0):
+            state = state_from_family(family, 0.5, default_cutoff(family, 0.5))
+            dim_bath = thermal_cutoff(n_bath, BATH_TAIL)
+            for rows, block in sld_observable(state, n_bath, dim_bath).blocks:
+                n = rows % dim_bath
+                order = np.argsort(n)
+                assert np.array_equal(n[order], n[order][0] + np.arange(len(n))), family
+                jacobi = block[np.ix_(order, order)]
+                assert np.all(np.diag(jacobi) == 0), family
+                assert np.all(np.triu(jacobi, 2) == 0) and np.all(np.tril(jacobi, -2) == 0)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from dense import annihilation
 
+from qillum.estimator import _log_factorial
 from qillum.qfi import MAX_CUTOFF
-from qillum.states import (SchmidtState, _log_factorial, cat_idler_eigenvalues,
+from qillum.states import (SchmidtState, cat_idler_eigenvalues,
                            cat_state, cat_state_infinite_d, coherent, coherent_amplitudes,
                            max_entangled_fock, schmidt_decompose,
                            state_from_family, tmsv)
@@ -109,6 +110,25 @@ def test_coherent_amplitudes_start_at_the_poisson_mode():
     # a phase moves no modulus
     phased = coherent_amplitudes(math.sqrt(2000.0) * np.exp(0.7j), dim)
     assert np.abs(np.abs(phased[big]) / ref[big] - 1.0).max() <= 1e-12
+
+
+def test_cat_infinite_d_weights_match_decimal_poisson():
+    # reference: the Poisson recurrence p_n = p_(n-1) N_S / n in 40-digit
+    # decimal arithmetic; a log-space exp(n log N_S - N_S - lgamma(n + 1))
+    # would cancel terms of size n log n and lose 6e-13 relative at N_S = 300
+    from decimal import Decimal, localcontext
+
+    from qillum.qfi import default_cutoff
+
+    for ns in (30.0, 300.0, 1000.0, 2000.0):
+        state = cat_state_infinite_d(ns, default_cutoff("cat:inf", ns))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ref = [(-Decimal(ns)).exp()]
+            for n in range(1, state.d_signal):
+                ref.append(ref[-1] * Decimal(ns) / n)
+            ref = np.array([float(p) for p in ref])[state.levels]
+        assert np.all(np.abs(state.probs / ref - 1.0) <= 1e-13)
 
 
 def test_bright_coherent_and_cat_reach_the_classical_information():
