@@ -27,7 +27,9 @@ reports on the prefix where its own doubling rule stops, with the same
 numbers as a sweep of that xi alone.
 
 A ``ProtocolConfig`` holds the grids of M and xi, and ``simulate`` runs
-them, one ``xi_sweep`` per M on one pair of outcome distributions.
+them, one ``xi_sweep`` per M on one pair of outcome distributions; each
+sweep builds the sampling table of each hypothesis once
+(``sampling_table``) and draws every doubling rung from it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -47,7 +50,9 @@ from .states import MAX_CUTOFF, SchmidtState, parse_family, state_from_family
 # multiple of it (2048 trials, say) never generates a chunk twice
 SAMPLE_CHUNK = 1024
 GUIDE_SIZE = 1 << 14      # fewest guide-table buckets; powers of two, read from raw bits
-BLOCK_DRAWS = 1 << 15     # draws per sampling block, small enough to stay in cache
+# draws per sampling block: its two scratch buffers, intp buckets and float64
+# outcomes, take 512 KB each, so a block's work stays in a 2 MB L2 cache
+BLOCK_DRAWS = 1 << 16
 # an outcome expected at least this often per trial is counted by a binomial
 # rather than drawn one by one: above M p = 30 numpy's binomial is BTPE, at
 # 90-105 ns, against 5-6 ns a packed draw, but below it is inversion, whose
@@ -208,31 +213,112 @@ def _chunk_generator(seed: int, stream: int, chunk: int, part: int = 0) -> Gener
                             key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """The outcome value of each bucket [b, b + 1) / size of u, or NaN
-    where a CDF step falls strictly inside the bucket.  The size is the
-    smallest power of two with four buckets per outcome, at least
-    GUIDE_SIZE, so that few buckets hold a step."""
+class GuideTable(NamedTuple):
+    """Two-level guide table over the uniform u of a tail draw (Chen &
+    Asau, AIIE Trans. 6, 163, 1974).  ``buckets`` holds the outcome value
+    of each of the 2^b buckets [k, k + 1) 2^-b of u, or NaN where a CDF
+    step falls strictly inside the bucket.  The row of step bucket k
+    starts at ``sub[rows[k]]``: its 2^s sub-buckets [k 2^s + j, k 2^s + j
+    + 1) 2^-(b+s) of u, each its outcome value or NaN again."""
+
+    buckets: np.ndarray
+    rows: np.ndarray
+    sub: np.ndarray
+    sub_bits: int
+
+
+def _cell_values(vals: np.ndarray, at: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Cells 0 to at[-1] - 1 of a guide table: cell c holds vals[i] for
+    the first i with at[i] > c, or NaN where a step i with at[i] = c lies
+    strictly inside it (``inside[i]``); ``at`` is nondecreasing."""
+    cells = np.repeat(vals, np.diff(at, prepend=0))
+    cells[at[inside]] = np.nan
+    return cells
+
+
+def _guide_table(vals: np.ndarray, cdf: np.ndarray) -> GuideTable:
+    """The guide table of the outcomes ``vals`` with CDF ``cdf``.  There
+    are 2^b buckets, the smallest power of two with four buckets per
+    outcome, at least GUIDE_SIZE, so that few buckets hold a step.  The
+    S step buckets get 2^s sub-buckets each, s = floor(log2(2^b / S)) and
+    at most 8, so the second level is never larger than the first.
+
+    Both levels come from one pass over the steps: cdf 2^b is exact, so
+    its floor is the bucket of each step, and a step lies strictly inside
+    that bucket unless the product is whole.  A bucket with no step
+    inside holds, for every u in it, the first outcome i with cdf[i] > u.
+    A step's place in its bucket, (cdf 2^b - bucket) 2^s, is exact too,
+    and places it among the sub-buckets of its row; the steps of the
+    other buckets sit on a bucket edge, and so on the edge of a row."""
     size = max(GUIDE_SIZE, 1 << (4 * len(vals) - 1).bit_length())
-    edges = np.arange(size + 1) / size
-    lo = np.searchsorted(cdf, edges[:-1], side="right")
-    hi = np.searchsorted(cdf, edges[1:], side="left")
-    return np.where(lo == hi, vals[lo], np.nan)
+    scaled = cdf * size
+    at = scaled.astype(np.intp)
+    inside = at != scaled
+    # the buckets holding a step, each once: at is nondecreasing
+    stepped = at[inside]
+    stepped = stepped[np.diff(stepped, prepend=-1) > 0]
+    sub_bits = min(8, (size // max(1, len(stepped))).bit_length() - 1)
+    # where each bucket's row starts, or the next row for a bucket without one
+    rows = np.repeat(np.arange(len(stepped) + 1) << sub_bits,
+                     np.diff(stepped, prepend=-1, append=size))
+    place = (scaled - at) * (1 << sub_bits)
+    sub_at = place.astype(np.intp)
+    return GuideTable(_cell_values(vals, at, inside), rows,
+                      _cell_values(vals, rows[at] + sub_at, place != sub_at), sub_bits)
 
 
-def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.ndarray,
-               cdf: np.ndarray, guide: np.ndarray, scratch: tuple) -> np.ndarray:
+@dataclass
+class SamplingTable:
+    """What the draws from one outcome law at M copies read, built once
+    by :func:`sampling_table` and shared by every trial range drawn."""
+
+    head_vals: np.ndarray             # counted outcomes, in value order
+    pvals: np.ndarray                 # multinomial masses: the head, then the tail
+    tail_vals: np.ndarray             # outcomes drawn one by one, in value order
+    cdf: np.ndarray | None            # their CDF, exactly 1 at the end; None without a tail
+    guide: GuideTable | None
+
+
+def sampling_table(values: np.ndarray, probabilities: np.ndarray, m: int) -> SamplingTable:
+    """The outcomes of a finite law sorted by value, split into the head
+    counted at M = ``m`` and the tail drawn one by one, and the tail's
+    CDF and guide table; see :func:`sample_means`."""
+    order = np.argsort(values)
+    vals = values[order]
+    p = np.asarray(probabilities, dtype=float)[order]
+    if not np.isfinite(p).all():
+        raise ValueError("outcome probabilities must be finite")
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    if not total > 0.0:
+        raise ValueError("outcome probabilities have no positive mass")
+    # a zero-probability outcome is never drawn
+    vals, p = vals[p > 0.0], p[p > 0.0] / total
+    in_head = m * p >= HEAD_DRAWS
+    head_p, tail_p = p[in_head], p[~in_head]
+    # multinomial's last category takes the remaining mass: the tail, or
+    # the last head outcome when there is no tail
+    if not len(tail_p):
+        return SamplingTable(vals[in_head], head_p, vals[~in_head], None, None)
+    pvals = np.append(head_p, max(0.0, 1.0 - head_p.sum()))
+    cdf = np.cumsum(tail_p)
+    # exactly 1 at the end, so every u in [0, 1) finds an outcome
+    cdf /= cdf[-1]
+    return SamplingTable(vals[in_head], pvals, vals[~in_head], cdf,
+                         _guide_table(vals[~in_head], cdf))
+
+
+def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray,
+               table: SamplingTable, scratch: tuple) -> np.ndarray:
     """Per trial, the sum of ``counts[t]`` inverse-CDF draws from the tail
-    outcomes ``vals``, drawn in trial order in blocks of whole trials of
-    at most BLOCK_DRAWS draws (one trial at least).  ``scratch`` is an
+    outcomes of ``table``, drawn in trial order in blocks of whole trials
+    of at most BLOCK_DRAWS draws (one trial at least).  ``scratch`` is an
     intp and a float64 buffer, each at least one block long, that hold a
     block's buckets and outcomes.
 
-    A draw u selects the outcome i with cdf[i-1] <= u < cdf[i].  A guide
-    table (Chen & Asau, AIIE Trans. 6, 163, 1974) of 2^b buckets resolves
-    most draws with one lookup: every bucket of u that no CDF step enters
-    holds its outcome directly, and only draws in the other buckets (at
-    most one per outcome) take the binary search.
+    A draw u selects the outcome i with cdf[i-1] <= u < cdf[i].  The
+    first level of the guide table resolves most draws with one lookup:
+    every bucket of u that no CDF step enters holds its outcome directly.
 
     A bucket needs b bits, so each raw 64-bit word of ``gen`` gives
     several draws: it is read as 16-bit lanes when b <= 16, as 32-bit
@@ -243,8 +329,16 @@ def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.nd
     ``Generator.random``, and every outcome keeps its exact probability.
     Draw k is lane k of ``gen`` and the j-th draw taking a fresh word
     takes word j of ``fresh``, so the counts fix both streams' layout.
+
+    The top s bits of r are the top s bits of u's place in the bucket,
+    so they pick its sub-bucket, and the second level resolves most of
+    these draws with a second lookup.  The few whose sub-bucket holds a
+    step too are searched over the whole CDF in sorted order: a binary
+    search over sorted keys follows the branch predictor, one over
+    random keys costs several times as much in mispredicted branches.
     """
-    bits = len(guide).bit_length() - 1
+    guide = table.guide
+    bits = len(guide.buckets).bit_length() - 1
     lane = np.dtype(np.uint16 if bits <= 16 else np.uint32)
     per_word = 8 // lane.itemsize
     shift = 8 * lane.itemsize - bits
@@ -268,13 +362,20 @@ def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.nd
                                 out=scratch[0][:stop - start])
         # every bucket is in range, so "clip" changes nothing; the default
         # "raise" would buffer the output
-        x = guide.take(bucket, out=scratch[1][:stop - start], mode="clip")
+        x = guide.buckets.take(bucket, out=scratch[1][:stop - start], mode="clip")
         miss = np.flatnonzero(np.isnan(x))
         if len(miss):
             r = fresh.bit_generator.random_raw(len(miss))
-            u = ((bucket[miss].astype(np.uint64) << (53 - bits))
-                 | (r >> (11 + bits))) * 2.0 ** -53
-            x[miss] = vals[np.searchsorted(cdf, u, side="right")]
+            stepped = bucket[miss]
+            y = guide.sub[guide.rows[stepped] | (r >> (64 - guide.sub_bits)).astype(np.intp)]
+            deep = np.flatnonzero(np.isnan(y))
+            if len(deep):
+                u = ((stepped[deep].astype(np.uint64) << (53 - bits))
+                     | (r[deep] >> (11 + bits))) * 2.0 ** -53
+                order = np.argsort(u)
+                y[deep[order]] = table.tail_vals[np.searchsorted(table.cdf, u[order],
+                                                                 side="right")]
+            x[miss] = y
         # reduceat gives an empty segment the value at its start, not 0
         drawn = np.flatnonzero(counts[t:s]) + t
         if len(drawn):
@@ -284,7 +385,8 @@ def _tail_sums(gen: Generator, fresh: Generator, counts: np.ndarray, vals: np.nd
 
 
 def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
-                 trials: int, seed: int, stream: int, first: int = 0) -> np.ndarray:
+                 trials: int, seed: int, stream: int, first: int = 0,
+                 table: SamplingTable | None = None) -> np.ndarray:
     """Trial means of m draws from a finite outcome distribution.
 
     Returns the means of trials ``first`` to ``first + trials - 1``.  Trial
@@ -292,7 +394,8 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     unit of generation: every chunk the range touches is generated on its
     own streams from its start, up to the range's end, and the result
     sliced, so drawing a trial range in parts gives the same means as
-    drawing it at once.
+    drawing it at once.  ``table``, when given, is ``sampling_table(values,
+    probabilities, m)``, built once by a caller that draws several ranges.
 
     A mean depends only on how often each outcome was drawn.  The head
     outcomes, those with m p_j >= HEAD_DRAWS, are counted in value order,
@@ -301,14 +404,14 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     counts and its tail count c, by conditional binomials (C. S. Davis,
     Comput. Stat. Data Anal. 16, 205, 1993), and the head sum is the row
     sum of counts times values.  Each trial's c tail draws then come one
-    by one, in trial order, through a guide table over the tail outcomes,
-    several draws from each raw word of the same generator (``_tail_sums``).
-    Given the counts, the tail draws are independent draws from the
-    tail's conditional law, so every mean has the law of m independent
-    draws.  No BLAS call is involved, so the means do not depend on the
-    BLAS thread count.  The binomials are numpy's and the words are read
-    in native byte order, so the means are bit-identical for a fixed
-    numpy version and byte order.
+    by one, in trial order, through a two-level guide table over the tail
+    outcomes, several draws from each raw word of the same generator
+    (``_tail_sums``).  Given the counts, the tail draws are independent
+    draws from the tail's conditional law, so every mean has the law of m
+    independent draws.  No BLAS call is involved, so the means do not
+    depend on the BLAS thread count.  The binomials are numpy's and the
+    words are read in native byte order, so the means are bit-identical
+    for a fixed numpy version and byte order.
 
     Probabilities below zero (roundoff down to -1e-10) are clamped to
     zero, and the distribution is normalized by its total mass; NaN or
@@ -319,30 +422,10 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
     1e-8 thermal tail, since the transmitter keeps its own tail below
     1e-12 at any N_S (6.4e-13 at N_S = 5).
     """
-    order = np.argsort(values)
-    vals = values[order]
-    p = np.asarray(probabilities, dtype=float)[order]
-    if not np.isfinite(p).all():
-        raise ValueError("outcome probabilities must be finite")
-    p = np.maximum(p, 0.0)
-    total = p.sum()
-    if not total > 0.0:
-        raise ValueError("outcome probabilities have no positive mass")
-    # a zero-probability outcome is never drawn
-    vals, p = vals[p > 0.0], p[p > 0.0] / total
-    in_head = m * p >= HEAD_DRAWS
-    head_vals, head_p = vals[in_head], p[in_head]
-    tail_vals, tail_p = vals[~in_head], p[~in_head]
-    # multinomial's last category takes the remaining mass: the tail, or
-    # the last head outcome when there is no tail
-    pvals = head_p
-    if len(tail_vals):
-        pvals = np.append(head_p, max(0.0, 1.0 - head_p.sum()))
-        cdf = np.cumsum(tail_p)
-        # exactly 1 at the end, so every u in [0, 1) finds an outcome
-        cdf /= cdf[-1]
-        guide = _guide_table(tail_vals, cdf)
-        # one pair of block buffers for every chunk: a 256 KB temporary
+    if table is None:
+        table = sampling_table(values, probabilities, m)
+    if table.cdf is not None:
+        # one pair of block buffers for every chunk: a 512 KB temporary
         # freed after each block would be a fresh mmap under glibc's default
         # 128 KB threshold, and fault in each of its pages again
         scratch = np.empty(max(BLOCK_DRAWS, m), dtype=np.intp), np.empty(max(BLOCK_DRAWS, m))
@@ -352,11 +435,11 @@ def sample_means(values: np.ndarray, probabilities: np.ndarray, m: int,
         lo = chunk * SAMPLE_CHUNK
         n = min(stop, lo + SAMPLE_CHUNK) - lo
         gen = _chunk_generator(seed, stream, chunk)
-        counts = gen.multinomial(m, pvals, size=SAMPLE_CHUNK)[:n]
-        sums = (counts[:, :len(head_vals)] * head_vals).sum(axis=1)
-        if len(tail_vals):
+        counts = gen.multinomial(m, table.pvals, size=SAMPLE_CHUNK)[:n]
+        sums = (counts[:, :len(table.head_vals)] * table.head_vals).sum(axis=1)
+        if table.cdf is not None:
             sums += _tail_sums(gen, _chunk_generator(seed, stream, chunk, part=1),
-                               counts[:, -1], tail_vals, cdf, guide, scratch)
+                               counts[:, -1], table, scratch)
         begin = max(first, lo)
         out[begin - first:lo + n - first] = sums[begin - lo:] / m
     return out
@@ -426,7 +509,8 @@ def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
     """Run the threshold test at M = ``m`` over the grid ``cfg.xi`` on one
     shared draw.
 
-    Both hypothesis branches are sampled once, and trials double
+    Both hypothesis branches are sampled once, each from a sampling
+    table built once for this M, and trials double
     (trials, 2 trials, ... up to ``trials_cap_factor`` times the configured
     count) until every threshold has at least 50 events in both error
     classes or the cap is reached; each doubling draws only the new
@@ -437,16 +521,20 @@ def xi_sweep(cfg: ProtocolConfig, m: int, dists: ProtocolDistributions) -> list:
     """
     trials = cfg.trials
     cap = cfg.trials * cfg.trials_cap_factor
+    absent, present = dists.dist_absent, dists.dist_present
+    # each hypothesis's tables are built once, and every rung draws from them
+    table0 = sampling_table(absent.values, absent.probabilities, m)
+    table1 = sampling_table(present.values, present.probabilities, m)
     means0 = means1 = np.empty(0)
     ladder = []                       # (trials, error counts per xi) of each rung
     while True:
         drawn = len(means0)
         means0 = np.concatenate([means0, sample_means(
-            dists.dist_absent.values, dists.dist_absent.probabilities, m,
-            trials - drawn, cfg.seed, stream=2 * m, first=drawn)])
+            absent.values, absent.probabilities, m, trials - drawn, cfg.seed,
+            stream=2 * m, first=drawn, table=table0)])
         means1 = np.concatenate([means1, sample_means(
-            dists.dist_present.values, dists.dist_present.probabilities, m,
-            trials - drawn, cfg.seed, stream=2 * m + 1, first=drawn)])
+            present.values, present.probabilities, m, trials - drawn, cfg.seed,
+            stream=2 * m + 1, first=drawn, table=table1)])
         counts = [(int(np.count_nonzero(means0 > xi * cfg.eta)),
                    int(np.count_nonzero(means1 <= xi * cfg.eta))) for xi in cfg.xi]
         ladder.append((trials, counts))

@@ -17,7 +17,7 @@ from qillum.sim import (GUIDE_SIZE, HEAD_DRAWS, MIN_ERROR_EVENTS, SAMPLE_CHUNK,
                         ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                         _chunk_generator, _erfcinv_2p, _guide_table,
                         classical_error_closed, gaussian_rate_fit, prepare_distributions,
-                        sample_means, simulate, wilson_interval)
+                        sample_means, sampling_table, simulate, wilson_interval)
 
 GRID = 1 << 20  # probabilities on a 2^-20 grid keep every CDF entry exact
 
@@ -381,7 +381,7 @@ def assert_exact_law(weights, m, counted, stepped):
     cdf = np.cumsum(probs[~head])
     cdf /= cdf[-1]
     assert np.count_nonzero(head) == counted
-    assert np.count_nonzero(np.isnan(_guide_table(values[~head], cdf))) == stepped
+    assert np.count_nonzero(np.isnan(_guide_table(values[~head], cdf).buckets)) == stepped
     law = np.array([1.0])
     for _ in range(m):
         law = np.convolve(law, probs)
@@ -437,14 +437,14 @@ def test_guide_table_sized_to_the_outcomes():
     for n, size in ((1, GUIDE_SIZE), (4096, GUIDE_SIZE), (4097, 2 * GUIDE_SIZE),
                     (21459, 8 * GUIDE_SIZE)):
         cdf = np.arange(1, n + 1) / n
-        assert len(_guide_table(np.arange(n, dtype=float), cdf)) == size
+        assert len(_guide_table(np.arange(n, dtype=float), cdf).buckets) == size
 
 
 def assert_many_outcomes_match_oracle(n, size):
     rng = np.random.default_rng(3)
     values = rng.normal(size=n)
     probs = rng.random(n)
-    assert len(_guide_table(values, np.arange(1, n + 1) / n)) == size
+    assert len(_guide_table(values, np.arange(1, n + 1) / n).buckets) == size
     expected = searchsorted_sample_means(values, probs, 7, 5000, 8, 1)
     assert np.array_equal(sample_means(values, probs, 7, 5000, seed=8, stream=1), expected)
 
@@ -457,6 +457,102 @@ def test_sample_means_many_outcomes_match_binary_search_oracle():
 def test_sample_means_32_bit_lanes_match_binary_search_oracle():
     # 20000 outcomes take a 2^17-bucket guide table, read from 32-bit lanes
     assert_many_outcomes_match_oracle(20000, 1 << 17)
+
+
+def crowded_law(n_spread, clusters, per_cluster):
+    """Values 0, 1, 2, ... with random masses, among which ``clusters``
+    runs of ``per_cluster`` equal tiny masses, each run 0.4 of a guide
+    bucket wide, so that hundreds of steps share one step bucket."""
+    rng = np.random.default_rng(12)
+    n = n_spread + clusters * per_cluster
+    size = max(GUIDE_SIZE, 1 << (4 * n - 1).bit_length())
+    probs = rng.random(n_spread)
+    probs *= (1.0 - clusters * 0.4 / size) / probs.sum()
+    for at in np.sort(rng.choice(n_spread, clusters, replace=False))[::-1]:
+        probs = np.insert(probs, at, np.full(per_cluster, 0.4 / size / per_cluster))
+    return np.arange(n, dtype=float), probs
+
+
+def miss_path_levels(values, probs, m, trials, seed, stream):
+    """How the tail draws of ``sample_means`` resolve: the draws that take
+    a fresh word, those the second level resolves, those left to the
+    sorted search, and those in a bucket with at least 100 steps."""
+    table = sampling_table(values, probs, m)
+    guide = table.guide
+    bits = len(guide.buckets).bit_length() - 1
+    lane, width = (np.uint16, 16) if bits <= 16 else (np.uint32, 32)
+    steps = np.bincount((table.cdf * len(guide.buckets)).astype(int), minlength=1 << bits)
+    fresh = second = deep = crowded = 0
+    for chunk in range(-(-trials // SAMPLE_CHUNK)):
+        n = min(SAMPLE_CHUNK, trials - chunk * SAMPLE_CHUNK)
+        gen = _chunk_generator(seed, stream, chunk)
+        c = gen.multinomial(m, table.pvals, size=SAMPLE_CHUNK)[:n, -1].sum()
+        lanes = gen.bit_generator.random_raw(-(-c * width // 64)).view(lane)[:c]
+        bucket = (lanes >> (width - bits)).astype(np.intp)
+        stepped = bucket[np.isnan(guide.buckets[bucket])]
+        r = _chunk_generator(seed, stream, chunk, part=1).bit_generator.random_raw(len(stepped))
+        sub = guide.sub[guide.rows[stepped] | (r >> (64 - guide.sub_bits)).astype(np.intp)]
+        fresh += len(stepped)
+        second += np.count_nonzero(~np.isnan(sub))
+        deep += np.count_nonzero(np.isnan(sub))
+        crowded += np.count_nonzero(steps[stepped] >= 100)
+    return fresh, second, deep, crowded
+
+
+@pytest.mark.parametrize("n_spread, clusters, per_cluster, lane_bits", [
+    (1000, 6, 500, 16),        # 4000 outcomes, 2^14 buckets
+    (12000, 12, 500, 32),      # 18000 outcomes, 2^17 buckets
+])
+def test_sample_means_miss_path_matches_binary_search_oracle(n_spread, clusters,
+                                                             per_cluster, lane_bits):
+    # every level of a draw whose bucket holds a step: the second level,
+    # the sorted search below it, and a bucket crowded with tiny steps
+    values, probs = crowded_law(n_spread, clusters, per_cluster)
+    m, trials = 100, 4 * SAMPLE_CHUNK
+    assert m * probs.max() < HEAD_DRAWS
+    guide = sampling_table(values, probs, m).guide
+    assert (len(guide.buckets) > 1 << 16) == (lane_bits == 32)
+    fresh, second, deep, crowded = miss_path_levels(values, probs, m, trials, 3, 8)
+    assert second > 0 and deep > 0 and crowded > 0
+    assert fresh == second + deep
+    expected = searchsorted_sample_means(values, probs, m, trials, 3, 8)
+    assert np.array_equal(sample_means(values, probs, m, trials, seed=3, stream=8), expected)
+
+
+def test_sample_means_draws_rung_by_rung_from_one_table():
+    # the trial ranges of a doubling ladder, drawn from one prebuilt table,
+    # are the trials of one call, bit for bit
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=3000)
+    probs = rng.random(3000)
+    probs[:5] = 600.0                 # counted at m = 300
+    m = 300
+    table = sampling_table(values, probs, m)
+    assert len(table.head_vals) == 5 and np.isnan(table.guide.buckets).any()
+    rungs = [0, 300, 600, 1200, 2400, 4800]
+    parts = [sample_means(values, probs, m, hi - lo, seed=2, stream=6, first=lo, table=table)
+             for lo, hi in zip(rungs, rungs[1:])]
+    assert np.array_equal(np.concatenate(parts),
+                          sample_means(values, probs, m, rungs[-1], seed=2, stream=6))
+
+
+def test_xi_sweep_reports_equal_those_of_tables_rebuilt_per_rung(doubling_setup,
+                                                                 monkeypatch):
+    import qillum.sim as sim
+
+    cfg, xis, dists = doubling_setup
+    tables = []
+    original = sim.sample_means
+
+    def rebuilding(*args, table=None, **kwargs):
+        tables.append(table)
+        return original(*args, **kwargs)
+
+    expected = simulate(replace(cfg, xi=xis), dists)
+    monkeypatch.setattr(sim, "sample_means", rebuilding)
+    assert simulate(replace(cfg, xi=xis), dists) == expected
+    # one table per hypothesis, drawn from on every rung
+    assert len(tables) > 2 and len({id(t) for t in tables}) == 2
 
 
 def test_sample_means_ignores_outcome_order():

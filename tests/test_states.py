@@ -1,6 +1,7 @@
 """Schmidt-form transmitter constructors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,31 @@ def test_cat_converges_to_infinite_d():
     lam = np.sort(cat_idler_eigenvalues(ns, 32))[::-1]
     pois = np.sort([poisson_pmf(ns, n) for n in range(32)])[::-1]
     assert np.abs(lam - pois).max() < 1e-12
+
+
+def test_cat_idler_eigenvalues_are_poisson_classes_mod_d():
+    # the docstring's closed form: lam_k sums the Poisson masses of the
+    # photon numbers n = k (mod d); the DFT's roundoff grows as log2 d
+    for d in (2, 3, 32, 1000):
+        for ns in (1e-3, 0.5, 3.0):
+            top = int(ns + 40 * math.sqrt(ns) + 60)
+            pmf = [math.exp(-ns + n * math.log(ns) - math.lgamma(n + 1)) for n in range(top)]
+            exact = np.array([math.fsum(pmf[k::d]) for k in range(d)])
+            tol = 8 * np.finfo(float).eps * max(1.0, math.log2(d))
+            assert np.abs(cat_idler_eigenvalues(ns, d) - exact).max() <= tol
+
+
+def test_cat_idler_eigenvalues_memory_is_linear_in_d():
+    # a d x d DFT matrix at the cap would take 32 d^2 bytes, about 34 GB
+    d = MAX_CUTOFF
+    tracemalloc.start()
+    try:
+        lam = cat_idler_eigenvalues(2.0, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lam) == d
+    assert peak < 8 * 16 * d
 
 
 def test_cat_infinite_d_poisson():
