@@ -31,7 +31,7 @@ from .fock import TruncationError
 from .qfi import ConvergenceError, QfiReport, default_cutoff, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions)
-from .states import SchmidtState, parse_family, state_from_family
+from .states import FAMILY_LABELS, PRUNE_EPS, SchmidtState, parse_family, state_from_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,34 +60,33 @@ def _parse_grid(spec: str):
     return [float(spec)]
 
 
-def _qfi_report(family: str, n_signal: float, n_bath: float, cutoff: int | None,
+def _qfi_report(family: str, n_signal: float, n_bath: float,
                 rel_tol: float | None = None) -> tuple[SchmidtState, QfiReport]:
-    """The transmitter at its final cutoff and its Fisher-information report.
+    """The transmitter at its derived cutoff and its Fisher-information report.
 
-    A cutoff that leaves H = 0 while the transmitter loses photons to it
-    is a ValueError: the zero comes from the cut, not from the state."""
+    The cutoff is the family's rule, :func:`qfi.default_cutoff`, doubled
+    by :func:`qfi.converge_cutoff` until H agrees to ``rel_tol`` when one
+    is given.  H = 0 for a transmitter with photons is a ValueError: every
+    excited Schmidt term fell below the pruning floor, at any cutoff, or H
+    fell below the float range."""
     if not all(map(math.isfinite, (n_signal, n_bath))):
         raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
-    if cutoff is not None and not 1 <= cutoff <= qfi.MAX_CUTOFF:
-        raise ValueError(f"cutoff must be >= 1 and at most the cap {qfi.MAX_CUTOFF}, got {cutoff}")
-    if rel_tol is not None and not 0 < rel_tol < math.inf:
-        raise ValueError("rel_tol must be positive and finite")
 
     @functools.cache   # the converged cutoff is evaluated once, by converge_cutoff
     def report(d_signal):
         state = state_from_family(family, n_signal, d_signal)
         return state, qfi_schmidt(state, n_bath)
 
-    if cutoff is None:
-        cutoff = default_cutoff(family, n_signal)
-        if rel_tol is not None:
-            # grow the cutoff from the family's rule until H stabilizes
-            _, cutoff = qfi.converge_cutoff(lambda d: report(d)[1].h, start=cutoff,
-                                            rel_tol=rel_tol)
+    cutoff = default_cutoff(family, n_signal)
+    if rel_tol is not None:
+        # grow the cutoff from the family's rule until H stabilizes
+        _, cutoff = qfi.converge_cutoff(lambda d: report(d)[1].h, start=cutoff,
+                                        rel_tol=rel_tol)
     state, rep = report(cutoff)
-    if rep.h == 0 and state.deficit > 0:
-        raise ValueError(f"cutoff {cutoff} leaves H = 0 and loses {state.deficit:.3g} "
-                         f"of the transmitter's probability; raise the cutoff")
+    if rep.h == 0 and state.meta["n_signal"] > 0:
+        raise ValueError(f"N_S = {state.meta['n_signal']:g} gives H = 0: every excited "
+                         f"Schmidt term falls below the pruning floor {PRUNE_EPS:g}, "
+                         f"or H underflows")
     return state, rep
 
 
@@ -114,7 +113,7 @@ def _check_writable(path: str | None) -> None:
 
 
 def cmd_qfi(args) -> int:
-    _, report = _qfi_report(args.family, args.ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
+    _, report = _qfi_report(args.family, args.ns, args.nb, args.rel_tol)
     _emit(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -129,7 +128,7 @@ def cmd_curves(args) -> int:
     for fam, name in zip(families, names):
         # maxfock:<d> fixes its own N_S, whatever the grid asks for: one row
         for ns in grid[:1] if name == "maxfock" else grid:
-            state, rep = _qfi_report(fam, ns, args.nb, args.cutoff, rel_tol=args.rel_tol)
+            state, rep = _qfi_report(fam, ns, args.nb, args.rel_tol)
             rows.append((fam, state.meta["n_signal"], args.nb, rep.h, rep.h_c, rep.gain,
                          rep.gain_db, rep.cutoff))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -209,14 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_qfi = sub.add_parser("qfi", help="one Fisher-information report")
-    p_qfi.add_argument("--family", required=True,
-                       help="tmsv | coherent | cat:<d> | cat:inf | maxfock:<d>")
+    p_qfi.add_argument("--family", required=True, help=" | ".join(FAMILY_LABELS))
     p_qfi.add_argument("--ns", type=float, default=0.0, help="mean signal photons")
     p_qfi.add_argument("--nb", type=float, required=True, help="mean bath photons")
-    p_qfi_cut = p_qfi.add_mutually_exclusive_group()
-    p_qfi_cut.add_argument("--cutoff", type=int, default=None)
-    p_qfi_cut.add_argument("--rel-tol", type=float, default=None,
-                           help="auto-converge the cutoff to this relative tolerance")
+    p_qfi.add_argument("--rel-tol", type=float, default=None,
+                       help="auto-converge the cutoff to this relative tolerance")
     p_qfi.add_argument("--out", default=None)
 
     p_cur = sub.add_parser("curves", help="gain sweep over signal photon number")
@@ -224,9 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--ns", required=True,
                        help="grid: number, comma list, or lo:hi:count[:log]")
     p_cur.add_argument("--families", default="tmsv,coherent,cat:2,cat:inf")
-    p_cur_cut = p_cur.add_mutually_exclusive_group()
-    p_cur_cut.add_argument("--cutoff", type=int, default=None)
-    p_cur_cut.add_argument("--rel-tol", type=float, default=None)
+    p_cur.add_argument("--rel-tol", type=float, default=None)
     p_cur.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo detection protocol")

@@ -185,7 +185,9 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
 def thermal_cutoff(n_mean: float, tail: float) -> int:
     """Two levels past the first whose Bose-Einstein tail of mean ``n_mean``
     is below ``tail``, at least 16; a ConvergenceError above MAX_CUTOFF."""
-    if n_mean <= 0:
+    # below 2^-53, 1 + N rounds to 1 and the ratio's log would be log(0);
+    # the mass above the vacuum is then N itself, far below any tail
+    if 1.0 + n_mean <= 1.0:
         return 16
     # log1p keeps the log of the ratio N/(1+N) nonzero however large N is
     cutoff = max(16, math.ceil(math.log(tail) / math.log1p(-1.0 / (1.0 + n_mean))) + 2)
@@ -215,8 +217,8 @@ def default_cutoff(family: str, n_signal: float) -> int:
     return cutoff
 
 
-def converge_cutoff(f, start: int, rel_tol: float = 1e-6, max_cutoff: int = MAX_CUTOFF):
-    """Double a cutoff from ``start``, never past ``max_cutoff``, until
+def converge_cutoff(f, start: int, rel_tol: float = 1e-6):
+    """Double a cutoff from ``start``, never past MAX_CUTOFF, until
     successive values of ``f`` agree to ``rel_tol``.
 
     Verifies along the way that the sequence tends monotonically (the
@@ -224,11 +226,11 @@ def converge_cutoff(f, start: int, rel_tol: float = 1e-6, max_cutoff: int = MAX_
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be positive and finite")
-    cutoff = min(int(start), max_cutoff)
+    cutoff = min(int(start), MAX_CUTOFF)
     prev = float(f(cutoff))
     diffs = []
-    while cutoff < max_cutoff:
-        cutoff = min(2 * cutoff, max_cutoff)
+    while cutoff < MAX_CUTOFF:
+        cutoff = min(2 * cutoff, MAX_CUTOFF)
         cur = float(f(cutoff))
         diffs.append(cur - prev)
         scale = max(abs(cur), abs(prev), 1e-300)
@@ -242,4 +244,4 @@ def converge_cutoff(f, start: int, rel_tol: float = 1e-6, max_cutoff: int = MAX_
             return cur, cutoff
         prev = cur
     raise ConvergenceError(
-        f"no convergence to rel_tol={rel_tol:g} within max cutoff {max_cutoff}")
+        f"no convergence to rel_tol={rel_tol:g} within max cutoff {MAX_CUTOFF}")

@@ -44,7 +44,7 @@ from numpy.random import Generator, Philox
 
 from .estimator import outcome_distribution, received_state, sld_observable
 from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
-from .states import MAX_CUTOFF, SchmidtState, parse_family, state_from_family
+from .states import SchmidtState, parse_family, state_from_family
 
 # trials per Philox chunk, the unit of generation: a doubling ladder from a
 # multiple of it (2048 trials, say) never generates a chunk twice
@@ -75,7 +75,9 @@ def _is_int(v) -> bool:
 class ProtocolConfig:
     """All parameters of one simulate run, one field per key of its JSON
     config.  ``m`` and ``xi`` are the grids the run covers, every xi at
-    every M; a number stands for a one-element grid."""
+    every M; a number stands for a one-element grid.  The cutoffs are not
+    parameters: ``prepare_distributions`` derives both from the
+    transmitter and the bath."""
 
     family: str = "tmsv"
     n_signal: float = 0.5
@@ -85,8 +87,6 @@ class ProtocolConfig:
     xi: tuple = (0.5,)                # threshold fractions, declare at eta_hat > xi*eta
     trials: int = 100_000
     seed: int = 2024
-    d_signal: int | None = None       # transmitter cutoff (None = qfi.default_cutoff)
-    dim_bath: int | None = None       # returned-mode cutoff (None = qfi.thermal_cutoff)
     trials_cap_factor: int = 8        # adaptive doubling cap, multiple of trials
 
     def __post_init__(self):
@@ -114,12 +114,6 @@ class ProtocolConfig:
         # the seed is the 64-bit Philox key: outside [0, 2^64) distinct seeds would collide
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        # a JSON true would run as cutoff 1, and 20.0 fail deep in numpy
-        for name, least in (("d_signal", 1), ("dim_bath", 2)):
-            v = getattr(self, name)
-            if v is not None and not (_is_int(v) and least <= v <= MAX_CUTOFF):
-                raise ValueError(f"cutoff {name} must be >= {least} and an integer, at most "
-                                 f"the cap {MAX_CUTOFF}, got {v!r}")
 
 
 @dataclass
@@ -458,9 +452,11 @@ class ProtocolDistributions:
 def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     """Build the transmitter, the optimal observable, and the outcome
     distributions under both hypotheses.  This is the expensive part; the
-    eigendecomposition runs once per configuration."""
-    d_signal = cfg.d_signal or default_cutoff(cfg.family, cfg.n_signal)
-    dim_bath = cfg.dim_bath or thermal_cutoff(cfg.n_bath, BATH_TAIL)
+    eigendecomposition runs once per configuration.  The transmitter
+    cutoff is ``default_cutoff``'s and the returned mode's keeps its thermal
+    tail below BATH_TAIL."""
+    d_signal = default_cutoff(cfg.family, cfg.n_signal)
+    dim_bath = thermal_cutoff(cfg.n_bath, BATH_TAIL)
     state = state_from_family(cfg.family, cfg.n_signal, d_signal)
     rep = qfi_schmidt(state, cfg.n_bath)
     obs = sld_observable(state, cfg.n_bath, dim_bath)

@@ -52,15 +52,6 @@ def test_qfi_invalid_params_exit_2(capsys):
     assert out.returncode == 2
     import qillum.cli as cli
 
-    # cutoffs below 1 are rejected before any state is built
-    for family, cutoff in (("coherent", "0"), ("cat:2", "0"), ("tmsv", "-5"),
-                           ("maxfock:3", "0")):
-        assert cli.main(["qfi", "--family", family, "--ns", "1", "--nb", "1",
-                         "--cutoff", cutoff]) == 2
-        assert "cutoff must be >= 1" in capsys.readouterr().err
-    assert cli.main(["curves", "--nb", "1", "--ns", "0.5", "--families", "tmsv",
-                     "--cutoff", "0"]) == 2
-    assert "cutoff must be >= 1" in capsys.readouterr().err
     # non-finite photon numbers are rejected at the boundary
     for argv in (["--family", "tmsv", "--ns", "1", "--nb", "nan"],
                  ["--family", "tmsv", "--ns", "1", "--nb", "inf"],
@@ -82,29 +73,29 @@ def test_qfi_invalid_params_exit_2(capsys):
 
 
 def test_qfi_fully_pruned_state_exits_2(capsys):
-    # every Poisson weight of cat:inf at N_S = 100 is pruned at cutoff 16,
-    # which must not read as a converged H = 0
+    # every Poisson weight of cat:inf at N_S = 100 is pruned at cutoff 16
+    # (tests/test_states.py), but the convergence run starts from the
+    # Poisson rule, past the pruned levels
     import qillum.cli as cli
 
-    assert cli.main(["qfi", "--family", "cat:inf", "--ns", "100", "--nb", "50",
-                     "--cutoff", "16"]) == 2
-    assert "no Schmidt term" in capsys.readouterr().err
-    # the convergence run starts from the Poisson rule, past the pruned levels
     assert cli.main(["qfi", "--family", "cat:inf", "--ns", "100", "--nb", "50",
                      "--rel-tol", "1e-10"]) == 0
     assert json.loads(capsys.readouterr().out)["gain"] <= 2.0
 
 
 def test_cutoff_that_zeroes_h_with_photons_lost_exits_2(capsys):
-    # cutoff 1 keeps only the vacuum of a coherent state at N_S = 1: H = 0
-    # and 1 - e^-1 of its probability lost to the cut
+    # below N_S ~ 1e-14 every excited Schmidt term of tmsv and the cats is
+    # pruned at any cutoff: H = 0 would read as no gain, though the state
+    # has photons.  At 1e-17 the pruned mass rounds out of the deficit too
     import qillum.cli as cli
 
-    for command in (["qfi", "--family", "coherent", "--ns", "1", "--nb", "1"],
-                    ["curves", "--families", "coherent", "--ns", "1", "--nb", "1"]):
-        assert cli.main(command + ["--cutoff", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "cutoff 1 leaves H = 0" in err and "0.632" in err
+    for family in ("tmsv", "cat:2", "cat:inf"):
+        for ns in ("1e-15", "1e-17"):
+            for command in (["qfi", "--family", family, "--ns", ns, "--nb", "1"],
+                            ["curves", "--families", family, "--ns", ns, "--nb", "1"]):
+                assert cli.main(command) == 2, command
+                err = capsys.readouterr().err
+                assert "H = 0" in err and "pruning floor 1e-14" in err, command
 
 
 def test_zero_h_with_nothing_lost_exits_0(capsys):
@@ -116,6 +107,27 @@ def test_zero_h_with_nothing_lost_exits_0(capsys):
         assert cli.main(command) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["H"] == 0.0 and report["deficit"] == 0.0
+
+
+def test_near_vacuum_photon_numbers_reach_the_cutoff_rule(tmp_path, capsys):
+    # below 2^-53, 1 + N rounds to 1, and the thermal rule takes 16 levels,
+    # as at N = 0, without evaluating log(0)
+    import qillum.cli as cli
+    from qillum.qfi import qfi_gaussian_closed
+
+    config = tmp_path / "protocol.json"
+    config.write_text(json.dumps({"family": "tmsv", "n_signal": 0.5, "n_bath": 1e-17,
+                                  "eta": 0.1, "m": 20, "xi": 0.5, "trials": 200, "seed": 7}))
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    header, row = out.read_text().strip().split("\n")[1:3]
+    h = float(dict(zip(header.split(","), row.split(",")))["H"])
+    assert h == pytest.approx(qfi_gaussian_closed(0.5, 1e-17), rel=1e-10)
+    # a tmsv signal that faint has H = 0 at its derived cutoff: curves names
+    # the pruning floor, not the cutoff rule
+    assert cli.main(["curves", "--nb", "1", "--ns", "1e-17,0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "pruning floor" in err and "math domain" not in err
 
 
 def test_usage_error_exits_2():
@@ -200,15 +212,16 @@ def test_curves_rejects_empty_grid_and_families(capsys):
     assert "no families" in capsys.readouterr().err
 
 
-def test_cutoff_and_rel_tol_are_exclusive(capsys):
+def test_cutoff_is_no_flag(capsys):
+    # the cutoff is derived from the family and N_S, never set
     import qillum.cli as cli
 
     for argv in (["qfi", "--family", "tmsv", "--ns", "1", "--nb", "50"],
                  ["curves", "--nb", "50", "--ns", "1", "--families", "tmsv"]):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--cutoff", "30", "--rel-tol", "1e-8"])
+            cli.main(argv + ["--cutoff", "30"])
         assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "unrecognized arguments: --cutoff" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -254,7 +267,7 @@ def test_simulate_draws_once_per_m(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "sample_means", counting)
     cfg = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.3,
            "m": [100, 200], "xi": [0.3, 0.5, 0.7], "trials": 300, "seed": 11,
-           "trials_cap_factor": 64, "d_signal": 16, "dim_bath": 16}
+           "trials_cap_factor": 64}
     path = tmp_path / "protocol.json"
     path.write_text(json.dumps(cfg))
     sweep = tmp_path / "sweep.csv"
@@ -327,12 +340,6 @@ def test_simulate_missing_config_exits_2(tmp_path, capsys):
                                 ("n_signal", -0.5, "photon numbers"),
                                 ("n_bath", -1.0, "photon numbers"),
                                 ("family", "cat:x", "unknown family"),
-                                ("d_signal", 0, "d_signal must be >= 1"),
-                                ("dim_bath", 1, "dim_bath must be >= 2"),
-                                ("d_signal", True, "d_signal must be >= 1"),
-                                ("d_signal", 20.0, "d_signal must be >= 1"),
-                                ("dim_bath", 40.0, "dim_bath must be >= 2"),
-                                ("dim_bath", 1e400, "dim_bath must be >= 2"),
                                 ("seed", -1, "seed must be"),
                                 ("seed", True, "seed must be"),
                                 ("seed", 1 << 64, "seed must be")):
@@ -361,7 +368,8 @@ def test_simulate_bad_config_exits_2_naming_the_key(tmp_path, capsys):
              (dict(good, trials="100"), "trials"),
              (dict(good, trials_cap_factor=[8]), "trials_cap_factor"),
              (dict(good, seed=None), "seed"),
-             (dict(good, d_signal=[20]), "d_signal"),
+             (dict(good, d_signal=20), "unknown config key 'd_signal'"),
+             (dict(good, dim_bath=20), "unknown config key 'dim_bath'"),
              (dict(good, family=None), "family"),
              (dict(good, family=["tmsv"]), "family"),
              (dict(good, foo=1), "'foo'"),
@@ -454,7 +462,7 @@ def test_simulate_csv_rows_are_the_library_reports(tmp_path):
 
     payload = {"family": "coherent", "n_signal": 0.5, "n_bath": 1.0, "eta": 0.3,
                "m": [100, 200], "xi": [0.3, 0.5, 0.7], "trials": 300, "seed": 11,
-               "trials_cap_factor": 64, "d_signal": 16, "dim_bath": 16}
+               "trials_cap_factor": 64}
     config, out, json_out = (tmp_path / name for name in ("c.json", "s.csv", "s.json"))
     config.write_text(json.dumps(payload))
     assert cli.main(["simulate", "--config", str(config), "--out", str(out),
@@ -635,7 +643,7 @@ def test_bright_tmsv_nonconvergence_exits_3_quickly(capsys):
     assert payload["H"] == pytest.approx(exact, rel=1e-9)
 
 
-def test_bright_tmsv_default_cutoff_has_one_cap(tmp_path, capsys):
+def test_bright_tmsv_default_cutoff_has_one_cap(capsys):
     # the 1e-12 tail rule asks for cutoff 27647 at N_S = 1000, below the
     # 32768 cap of converge_cutoff, and for more than the cap at N_S = 2000
     import qillum.cli as cli
@@ -650,9 +658,9 @@ def test_bright_tmsv_default_cutoff_has_one_cap(tmp_path, capsys):
     # at N_S = 1e17 the ratio N_S / (1 + N_S) rounds to 1, whose log is 0
     assert cli.main(["qfi", "--family", "tmsv", "--ns", "1e17", "--nb", "50"]) == 3
     assert "cap 32768" in capsys.readouterr().err
-    # every other cutoff has the same cap: a cutoff or family order above it
-    # exits 2 before any array is sized by it (10^15 levels would be a
-    # MemoryError), and a Poisson rule above it exits 3, as tmsv's does
+    # every other cutoff has the same cap: a family order above it exits 2
+    # before any array is sized by it (10^15 levels would be a MemoryError),
+    # and a Poisson rule above it exits 3, as tmsv's does
     from qillum.qfi import MAX_CUTOFF
 
     def assert_exit(argv, code):
@@ -661,14 +669,8 @@ def test_bright_tmsv_default_cutoff_has_one_cap(tmp_path, capsys):
         assert "cap 32768" in err and "Traceback" not in err, argv
 
     for big in (10 ** 15, MAX_CUTOFF + 1):
-        assert_exit(["qfi", "--family", "tmsv", "--ns", "1", "--nb", "1",
-                     "--cutoff", str(big)], 2)
         for family in (f"cat:{big}", f"maxfock:{big}"):
             assert_exit(["qfi", "--family", family, "--ns", "1", "--nb", "1"], 2)
-        for key in ("d_signal", "dim_bath"):
-            cfg = tmp_path / f"{key}.json"
-            cfg.write_text(json.dumps({"family": "tmsv", key: big}))
-            assert_exit(["simulate", "--config", str(cfg)], 2)
     for family in ("coherent", "cat:2", "cat:inf"):
         for ns in ("1e15", "40000"):
             assert_exit(["qfi", "--family", family, "--ns", ns, "--nb", "1"], 3)
@@ -691,7 +693,7 @@ def test_qfi_and_simulate_share_one_cutoff_rule():
     from qillum.sim import ProtocolConfig, prepare_distributions
 
     for family in ("tmsv", "coherent", "cat:2", "cat:3", "cat:inf", "maxfock:4"):
-        _, report = cli._qfi_report(family, 0.5, 0.1, None)
+        _, report = cli._qfi_report(family, 0.5, 0.1)
         cfg = ProtocolConfig(family=family, n_signal=0.5, n_bath=0.1)
         assert prepare_distributions(cfg).state.d_signal == report.cutoff, family
         assert report.family == family

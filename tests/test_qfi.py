@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qillum.estimator import eta_derivative, signal_antinormal_moments
 from qillum.fock import thermal_weights
-from qillum.qfi import (ConvergenceError, converge_cutoff, qfi_bounds,
-                        qfi_cat_direct, qfi_gaussian_closed, qfi_schmidt)
+from qillum.qfi import (BATH_TAIL, MAX_CUTOFF, SIGNAL_TAIL, ConvergenceError,
+                        converge_cutoff, default_cutoff, qfi_bounds, qfi_cat_direct,
+                        qfi_gaussian_closed, qfi_schmidt, thermal_cutoff)
 from qillum.states import (SchmidtState, cat_state, cat_state_infinite_d,
                            coherent, max_entangled_fock, schmidt_decompose,
                            state_from_family, tmsv)
@@ -224,6 +225,37 @@ def test_level_state_qfi_allocates_no_dense_matrix():
     assert rep.h == pytest.approx(qfi_gaussian_closed(30.0, 50.0), rel=1e-10)
 
 
+def _cutoff_or_inf(rule, *args):
+    try:
+        return rule(*args)
+    except ConvergenceError:
+        return math.inf
+
+
+def test_derived_cutoffs_over_photon_numbers():
+    """The cutoff rules are the only route to a cutoff.  Over N drawn
+    log-uniform in [1e-320, 1e4], thermal_cutoff is an int in [16,
+    MAX_CUTOFF] or a ConvergenceError, nondecreasing in N, and leaves the
+    geometric tail (N/(1+N))^(c-2) below its target; default_cutoff is
+    nondecreasing in N_S for every family with a photon-number rule."""
+    rng = np.random.default_rng(27)
+    edges = [1e-320, 2.0 ** -53, math.nextafter(2.0 ** -53, 1.0), 1e4]
+    ns = sorted([*map(float, 10.0 ** rng.uniform(-320.0, 4.0, 2000)), *edges])
+    for tail in (SIGNAL_TAIL, BATH_TAIL):
+        cutoffs = [_cutoff_or_inf(thermal_cutoff, n, tail) for n in ns]
+        for n, c in zip(ns, cutoffs):
+            if c == math.inf:
+                continue
+            assert type(c) is int and 16 <= c <= MAX_CUTOFF, (n, c)
+            # the slack covers the roundoff of the rule's two logs
+            assert (n / (1.0 + n)) ** (c - 2) <= tail * (1.0 + 1e-9), (n, c)
+        assert all(a <= b for a, b in zip(cutoffs, cutoffs[1:])), tail
+        assert cutoffs[0] == 16 and cutoffs[-1] == math.inf
+    for family in ("tmsv", "coherent", "cat:2", "cat:inf"):
+        cutoffs = [_cutoff_or_inf(default_cutoff, family, n) for n in ns]
+        assert all(a <= b for a, b in zip(cutoffs, cutoffs[1:])), family
+
+
 def test_converge_cutoff_constant():
     val, cutoff = converge_cutoff(lambda d: 1.0, rel_tol=1e-6, start=8)
     assert val == 1.0
@@ -239,14 +271,14 @@ def test_converge_cutoff_geometric_tail():
 def test_converge_cutoff_cat_run():
     val, cutoff = converge_cutoff(
         lambda dim: qfi_cat_direct(1.0, 2, 50.0, dim),
-        rel_tol=1e-6, max_cutoff=1 << 15, start=64)
+        rel_tol=1e-6, start=64)
     assert val == pytest.approx(qfi_schmidt(cat_state(1.0, 2, 40), 50.0).h, rel=1e-4)
-    assert cutoff < 1 << 15
+    assert cutoff < MAX_CUTOFF
 
 
 def test_converge_cutoff_exhaustion():
     with pytest.raises(ConvergenceError):
-        converge_cutoff(lambda d: math.log(d), rel_tol=1e-12, max_cutoff=64, start=8)
+        converge_cutoff(lambda d: math.log(d), rel_tol=1e-12, start=8)
 
 
 def test_converge_cutoff_clamps_the_last_doubling():
@@ -257,12 +289,12 @@ def test_converge_cutoff_clamps_the_last_doubling():
         return float(len(seen))
 
     with pytest.raises(ConvergenceError):
-        converge_cutoff(never, rel_tol=1e-6, max_cutoff=100, start=24)
-    assert seen == [24, 48, 96, 100]
+        converge_cutoff(never, rel_tol=1e-6, start=6000)
+    assert seen == [6000, 12000, 24000, MAX_CUTOFF]
     seen.clear()
     with pytest.raises(ConvergenceError):
-        converge_cutoff(never, rel_tol=1e-6, max_cutoff=100, start=150)
-    assert seen == [100]
+        converge_cutoff(never, rel_tol=1e-6, start=MAX_CUTOFF + 1)
+    assert seen == [MAX_CUTOFF]
 
 
 def test_report_serialization():

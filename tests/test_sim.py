@@ -131,13 +131,6 @@ def test_config_validation():
         ProtocolConfig(n_bath=-1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(family="cat:x")
-    # a bool or a float cutoff is rejected here, not deep inside numpy
-    for bad in (dict(d_signal=0), dict(family="coherent", d_signal=-3),
-                dict(dim_bath=1), dict(dim_bath=0), dict(d_signal=True),
-                dict(d_signal=20.0), dict(dim_bath=40.0), dict(dim_bath=math.inf),
-                dict(dim_bath=False), dict(d_signal="20")):
-        with pytest.raises(ValueError, match="cutoff"):
-            ProtocolConfig(**bad)
     for bad in (dict(n_signal=math.nan), dict(n_bath=math.inf), dict(eta=math.nan),
                 dict(n_signal="0.5"), dict(eta=None), dict(n_bath=True),
                 dict(n_bath=[1.0])):
@@ -161,8 +154,6 @@ def test_config_validation():
             ProtocolConfig(**bad)
     assert ProtocolConfig(trials=1, trials_cap_factor=1).trials_cap_factor == 1
     assert ProtocolConfig(eta=1.0).eta == 1.0
-    assert ProtocolConfig(d_signal=1, dim_bath=2).dim_bath == 2
-    assert ProtocolConfig(d_signal=np.int64(20), dim_bath=None).d_signal == 20
     # a number is a one-element grid, and a list a tuple
     cfg = ProtocolConfig(m=np.int64(100), xi=0.3)
     assert (cfg.m, cfg.xi) == ((100,), (0.3,)) and type(cfg.m[0]) is int
@@ -195,7 +186,7 @@ def test_chunk_generator_keys_philox_with_the_whole_seed():
 
 def test_config_json_roundtrip():
     # a simulate config file holds the dataclass fields as JSON keys
-    cfg = ProtocolConfig(family="cat:2", n_signal=0.3, seed=99, d_signal=20)
+    cfg = ProtocolConfig(family="cat:2", n_signal=0.3, seed=99)
     clone = ProtocolConfig(**json.loads(json.dumps(asdict(cfg))))
     assert clone == cfg
 
@@ -659,8 +650,7 @@ def test_xi_sweep_monotone(coherent_setup):
 def doubling_setup():
     """A sweep whose xi rows stop on different rungs of the doubling."""
     cfg = ProtocolConfig(family="coherent", n_signal=0.5, n_bath=1.0, eta=0.3, xi=0.5,
-                         m=200, trials=300, seed=11, trials_cap_factor=64,
-                         d_signal=16, dim_bath=16)
+                         m=200, trials=300, seed=11, trials_cap_factor=64)
     return cfg, [0.3, 0.5, 0.7], prepare_distributions(cfg)
 
 
