@@ -31,7 +31,7 @@ from .fock import TruncationError
 from .qfi import ConvergenceError, QfiReport, default_cutoff, qfi_schmidt
 from .sim import (ErrorReport, ProtocolConfig, UnresolvedStatisticsError,
                   prepare_distributions)
-from .states import FAMILY_LABELS, PRUNE_EPS, SchmidtState, parse_family, state_from_family
+from .states import FAMILY_LABELS, SchmidtState, parse_family, state_from_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,9 +66,8 @@ def _qfi_report(family: str, n_signal: float, n_bath: float,
 
     The cutoff is the family's rule, :func:`qfi.default_cutoff`, doubled
     by :func:`qfi.converge_cutoff` until H agrees to ``rel_tol`` when one
-    is given.  H = 0 for a transmitter with photons is a ValueError: every
-    excited Schmidt term fell below the pruning floor, at any cutoff, or H
-    fell below the float range."""
+    is given.  H = 0 for a transmitter with photons is the ValueError of
+    :func:`qfi.require_information`."""
     if not all(map(math.isfinite, (n_signal, n_bath))):
         raise ValueError(f"N_S and N_B must be finite, got {n_signal}, {n_bath}")
 
@@ -83,10 +82,7 @@ def _qfi_report(family: str, n_signal: float, n_bath: float,
         _, cutoff = qfi.converge_cutoff(lambda d: report(d)[1].h, start=cutoff,
                                         rel_tol=rel_tol)
     state, rep = report(cutoff)
-    if rep.h == 0 and state.meta["n_signal"] > 0:
-        raise ValueError(f"N_S = {state.meta['n_signal']:g} gives H = 0: every excited "
-                         f"Schmidt term falls below the pruning floor {PRUNE_EPS:g}, "
-                         f"or H underflows")
+    qfi.require_information(state, rep)
     return state, rep
 
 

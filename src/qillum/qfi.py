@@ -8,8 +8,9 @@ terms, summed over the lowering pairs (a, a', <w_a|s|w_a'> != 0) that
 Fock-diagonal level state in O(rank), or a shifted-slice ladder for
 general vectors.  No d x d or r x r matrix is built on this path, so its
 cost does not grow with the cutoff of a level state.
-:func:`qfi_cat_direct` evaluates the cat-family spectral sum with an
-explicit received-mode cutoff.
+:func:`qfi_cat_direct`, an independent route for the cat family, sums
+over the d adjacent idler eigenvector pairs with an explicit received-mode
+cutoff.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DimensionError, thermal_weights
-from .states import MAX_CUTOFF, SchmidtState, cat_idler_eigenvalues, parse_family
+from .states import MAX_CUTOFF, PRUNE_EPS, SchmidtState, cat_idler_eigenvalues, parse_family
 
 DENOM_GUARD = 1e-14
 # Bose-Einstein mass left past the automatic cutoffs (see thermal_cutoff)
@@ -141,13 +142,26 @@ def qfi_schmidt(state: SchmidtState, n_bath: float) -> QfiReport:
     )
 
 
-def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) -> float:
-    """Cat-family Fisher information from the spectral quadruple sum.
+def require_information(state: SchmidtState, report: QfiReport) -> None:
+    """Raise a ValueError if a transmitter built with photons, meta
+    ``n_signal`` > 0, has H = 0: every excited Schmidt term fell below the
+    pruning floor, at any cutoff, or H fell below the float range."""
+    if report.h == 0 and state.meta.get("n_signal", 0.0) > 0:
+        raise ValueError(f"N_S = {state.meta['n_signal']:g} gives H = 0: every excited "
+                         f"Schmidt term falls below the pruning floor {PRUNE_EPS:g}, "
+                         f"or H underflows")
 
-    Sums over idler eigenvector pairs (l, l') and received-mode levels,
-    with the ladder selection rules collapsing one level index.  The
-    result is monotonically nondecreasing in ``dim_received``; use
-    :func:`converge_cutoff` to pick an adequate cutoff.
+
+def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) -> float:
+    """Cat-family Fisher information from the spectral sum over the d
+    adjacent idler pairs, the received mode cut at ``dim_received`` levels.
+
+    The lowering operator takes idler eigenvector l to l-1 only (indices
+    mod d), with |<w_{l-1}|s|w_l>|^2 = N_S lam_{l-1} / lam_l, so H =
+    4 N_S sum_l lam_{l-1}^2 sum_{n=1}^{dim-1} n (rho_n - rho_{n-1})^2
+    / (lam_{l-1} rho_{n-1} + lam_l rho_n) in O(d dim), with lam from
+    :func:`cat_idler_eigenvalues` and rho the thermal weights.  It is
+    nondecreasing in ``dim_received``; :func:`converge_cutoff` picks one.
     """
     if d < 2:
         raise ValueError("cat states need d >= 2 components")
@@ -155,31 +169,11 @@ def qfi_cat_direct(n_signal: float, d: int, n_bath: float, dim_received: int) ->
         raise DimensionError("received-mode cutoff must be >= 2")
     lam = cat_idler_eigenvalues(n_signal, d)
     rho = thermal_weights(n_bath, dim_received)
-    idx = np.arange(d)
-    overlaps = np.exp(-n_signal * (1.0 - np.exp(2j * np.pi * (idx[None, :] - idx[:, None]) / d)))
-
-    n_up = np.arange(1, dim_received)          # levels with a lower neighbor
-    diff_dn = rho[n_up] - rho[n_up - 1]
-    n_dn = np.arange(0, dim_received - 1)      # levels with an upper neighbor
-    diff_up = rho[n_dn] - rho[n_dn + 1]
-
-    total = 0.0
-    for l in range(d):
-        for lp in range(d):
-            phase = np.exp(2j * np.pi * (lp * idx[None, :] - l * idx[:, None]) / d)
-            t1 = np.sum(overlaps * phase * np.exp(-2j * np.pi * idx[None, :] / d))
-            t2 = np.sum(overlaps * phase * np.exp(2j * np.pi * idx[:, None] / d))
-            if abs(t1) > 0:
-                den = rho[n_up - 1] * lam[l] + rho[n_up] * lam[lp]
-                ok = den > DENOM_GUARD
-                total += abs(t1) ** 2 * float(
-                    np.sum(n_up[ok] * diff_dn[ok] ** 2 / den[ok]))
-            if abs(t2) > 0:
-                den = rho[n_dn + 1] * lam[l] + rho[n_dn] * lam[lp]
-                ok = den > DENOM_GUARD
-                total += abs(t2) ** 2 * float(
-                    np.sum((n_dn[ok] + 1) * diff_up[ok] ** 2 / den[ok]))
-    return 2.0 * n_signal / d ** 4 * total
+    lower, upper = np.roll(lam, 1)[:, None], lam[:, None]   # lam_{l-1}, lam_l
+    den = lower * rho[:-1] + upper * rho[1:]
+    num = lower ** 2 * (np.arange(1, dim_received) * np.diff(rho) ** 2)
+    ok = den > DENOM_GUARD
+    return 4.0 * n_signal * float(np.sum(num[ok] / den[ok]))
 
 
 def thermal_cutoff(n_mean: float, tail: float) -> int:

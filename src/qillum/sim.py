@@ -43,7 +43,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .estimator import outcome_distribution, received_state, sld_observable
-from .qfi import BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt, thermal_cutoff
+from .qfi import (BATH_TAIL, default_cutoff, qfi_bounds, qfi_schmidt,
+                  require_information, thermal_cutoff)
 from .states import SchmidtState, parse_family, state_from_family
 
 # trials per Philox chunk, the unit of generation: a doubling ladder from a
@@ -454,11 +455,13 @@ def prepare_distributions(cfg: ProtocolConfig) -> ProtocolDistributions:
     distributions under both hypotheses.  This is the expensive part; the
     eigendecomposition runs once per configuration.  The transmitter
     cutoff is ``default_cutoff``'s and the returned mode's keeps its thermal
-    tail below BATH_TAIL."""
+    tail below BATH_TAIL.  H = 0 is a ValueError: with photons that of
+    :func:`require_information`, without them that of :func:`sld_observable`."""
     d_signal = default_cutoff(cfg.family, cfg.n_signal)
     dim_bath = thermal_cutoff(cfg.n_bath, BATH_TAIL)
     state = state_from_family(cfg.family, cfg.n_signal, d_signal)
     rep = qfi_schmidt(state, cfg.n_bath)
+    require_information(state, rep)
     obs = sld_observable(state, cfg.n_bath, dim_bath)
     rho0 = received_state(state, cfg.n_bath, 0.0, dim_bath)
     rho1 = received_state(state, cfg.n_bath, cfg.eta, dim_bath)

@@ -116,13 +116,14 @@ def check_cat_limits() -> CheckResult:
         rel = abs(val - target) / target
         ok &= rel < 0.01
         notes.append(f"d={d}:{rel:.2e}")
-    for ns in (0.5, 1.0):
-        direct, _ = converge_cutoff(
-            lambda dim, ns=ns: qfi_cat_direct(ns, 2, nb, dim),
-            rel_tol=1e-9, start=256)
-        schmidt = qfi_schmidt(cat_state(ns, 2, 40), nb).h
-        ok &= abs(direct - schmidt) < 1e-6
-        notes.append(f"eq@{ns}:{abs(direct - schmidt):.2e}")
+    for d in (2, 3, 4):
+        for ns in (0.5, 1.0):
+            direct, _ = converge_cutoff(
+                lambda dim, d=d, ns=ns: qfi_cat_direct(ns, d, nb, dim),
+                rel_tol=1e-9, start=256)
+            schmidt = qfi_schmidt(cat_state(ns, d, 40), nb).h
+            ok &= abs(direct - schmidt) < 1e-6
+            notes.append(f"d={d} eq@{ns}:{abs(direct - schmidt):.2e}")
     vals = [qfi_cat_direct(1.0, 2, nb, dim) for dim in (32, 64, 128, 256, 512, 1024)]
     mono = all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     ok &= mono

@@ -83,19 +83,33 @@ def test_qfi_fully_pruned_state_exits_2(capsys):
     assert json.loads(capsys.readouterr().out)["gain"] <= 2.0
 
 
-def test_cutoff_that_zeroes_h_with_photons_lost_exits_2(capsys):
+def test_cutoff_that_zeroes_h_with_photons_lost_exits_2(tmp_path, capsys):
     # below N_S ~ 1e-14 every excited Schmidt term of tmsv and the cats is
     # pruned at any cutoff: H = 0 would read as no gain, though the state
     # has photons.  At 1e-17 the pruned mass rounds out of the deficit too
     import qillum.cli as cli
 
+    config = tmp_path / "protocol.json"
+
+    def simulate(family, ns):
+        config.write_text(json.dumps({"family": family, "n_signal": float(ns),
+                                      "n_bath": 1.0, "eta": 0.1, "m": 20, "xi": 0.5,
+                                      "trials": 200, "seed": 7}))
+        return ["simulate", "--config", str(config)]
+
     for family in ("tmsv", "cat:2", "cat:inf"):
         for ns in ("1e-15", "1e-17"):
             for command in (["qfi", "--family", family, "--ns", ns, "--nb", "1"],
-                            ["curves", "--families", family, "--ns", ns, "--nb", "1"]):
+                            ["curves", "--families", family, "--ns", ns, "--nb", "1"],
+                            simulate(family, ns)):
                 assert cli.main(command) == 2, command
                 err = capsys.readouterr().err
                 assert "H = 0" in err and "pruning floor 1e-14" in err, command
+    # without photons there is nothing to lose: no estimator exists
+    for family, ns in (("tmsv", 0), ("cat:2", 0), ("maxfock:1", 0.5)):
+        assert cli.main(simulate(family, ns)) == 2, family
+        err = capsys.readouterr().err
+        assert "no reflectivity information" in err and "pruning" not in err, family
 
 
 def test_zero_h_with_nothing_lost_exits_0(capsys):

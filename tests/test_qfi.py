@@ -276,6 +276,34 @@ def test_converge_cutoff_cat_run():
     assert cutoff < MAX_CUTOFF
 
 
+def test_cat_direct_matches_schmidt_at_every_order():
+    # the spectral sum over the d adjacent idler pairs and the Schmidt pair
+    # sum are independent routes to the cat Fisher information at any order
+    for d in range(2, 9):
+        for ns, nb in ((1e-3, 50.0), (0.8, 2.0), (2.0, 1.0)):
+            direct, _ = converge_cutoff(
+                lambda dim, d=d, ns=ns, nb=nb: qfi_cat_direct(ns, d, nb, dim),
+                rel_tol=1e-12, start=64)
+            schmidt = qfi_schmidt(cat_state(ns, d, default_cutoff(f"cat:{d}", ns)), nb).h
+            assert direct == pytest.approx(schmidt, rel=1e-9), (d, ns, nb)
+    # at a small received cutoff both truncate the same sum
+    for d in (3, 5):
+        state = cat_state(0.8, d, default_cutoff(f"cat:{d}", 0.8))
+        assert qfi_cat_direct(0.8, d, 2.0, 12) == pytest.approx(
+            qfi_numerical(state, 2.0, 12), rel=1e-9), d
+    for d in (2, 3, 5):
+        vals = [qfi_cat_direct(0.8, d, 2.0, 2 ** k) for k in range(1, 11)]
+        assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:])), d
+    # O(d dim) memory: a d x d complex array at d = 4096 would take 268 MB
+    tracemalloc.start()
+    try:
+        qfi_cat_direct(0.8, 4096, 2.0, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_converge_cutoff_exhaustion():
     with pytest.raises(ConvergenceError):
         converge_cutoff(lambda d: math.log(d), rel_tol=1e-12, start=8)
